@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,8 +23,9 @@ from . import __version__
 from .bounds import bound_report, sample_pair, validity_condition
 from .dist import make_rng
 from .engine import DecodeMode, speculative_decode
-from .harness import (CostModel, ExperimentConfig, equivalence_test,
-                      oracle_length_stats, round_csv_rows, run_experiment)
+from .harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
+                      equivalence_test, oracle_length_stats, round_csv_rows,
+                      run_experiment)
 from .models import AutoregressiveModel, tabular_from_spec, temper
 from .policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                        LengthPolicy, SvipConfig, SvipPolicy)
@@ -88,11 +90,17 @@ def _get(cfg: dict, path: str, expect=None, required=True, default=None):
                 raise ValidationError(f"{path}: missing required field")
             return default
         node = node[part]
-    if expect is not None and not isinstance(node, expect):
-        names = expect.__name__ if isinstance(expect, type) else \
-            "/".join(t.__name__ for t in expect)
-        raise ValidationError(f"{path}: expected {names}, got {type(node).__name__}")
+    if expect is not None:
+        types = expect if isinstance(expect, tuple) else (expect,)
+        # JSON true/false are bools, and bool is an int subclass in Python.
+        if not isinstance(node, types) or (isinstance(node, bool) and bool not in types):
+            names = "/".join(t.__name__ for t in types)
+            raise ValidationError(f"{path}: expected {names}, got {type(node).__name__}")
     return node
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> dict:
@@ -154,47 +162,46 @@ def parse_policy(cfg: dict) -> tuple[Callable[[], LengthPolicy], str]:
     if kind == "constant":
         k = _get(cfg, "policy.k", expect=int)
         cap = _get(cfg, "policy.cap", expect=int, required=False, default=DEFAULT_CAP)
-        _validate_policy_args(lambda: ConstantPolicy(k, cap), "policy")
-        return (lambda: ConstantPolicy(k, cap)), f"constant-{k}"
-    if kind == "heuristic":
+        factory, label = (lambda: ConstantPolicy(k, cap)), "constant-{0.k}"
+    elif kind == "heuristic":
         init = _get(cfg, "policy.init", expect=int, required=False, default=5)
         cap = _get(cfg, "policy.cap", expect=int, required=False, default=DEFAULT_CAP)
-        _validate_policy_args(lambda: HeuristicPolicy(init, cap), "policy")
-        return (lambda: HeuristicPolicy(init, cap)), f"heuristic-{init}"
-    if kind == "svip":
+        factory, label = (lambda: HeuristicPolicy(init, cap)), "heuristic-{0.length}"
+    elif kind == "svip":
         h = _get(cfg, "policy.h", expect=(int, float))
         max_len = _get(cfg, "policy.max_len", expect=int, required=False,
                        default=DEFAULT_CAP)
-        _validate_policy_args(lambda: SvipPolicy(SvipConfig(float(h), max_len)),
-                              "policy")
-        return (lambda: SvipPolicy(SvipConfig(float(h), max_len))), f"svip-{fmt9(float(h))}"
-    raise ValidationError(f"policy.kind: unknown policy {kind!r}")
-
-
-def _validate_policy_args(factory, path):
+        factory, label = (lambda: SvipPolicy(SvipConfig(float(h), max_len))), "svip-{0.cfg.h:.9g}"
+    else:
+        raise ValidationError(f"policy.kind: unknown policy {kind!r}")
     try:
-        factory()
+        policy = factory()
     except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}")
+        raise ValidationError(f"policy: {exc}")
+    # The label reads the built policy, so it names the k the cap lets run.
+    return factory, label.format(policy)
 
 
 def parse_prompts(cfg: dict, vocab_size: int) -> list[list[int]]:
     prompts = _get(cfg, "prompts")
     if isinstance(prompts, dict) and "file" in prompts:
-        path = prompts["file"]
+        path = _get(cfg, "prompts.file", expect=str)
         try:
             with open(path, "r", encoding="utf-8") as f:
                 lines = [ln for ln in f.read().splitlines() if ln.strip()]
         except FileNotFoundError:
             raise ValidationError(f"prompts.file: file not found: {path}")
-        prompts = [[int(t) for t in ln.split()] for ln in lines]
+        try:
+            prompts = [[int(t) for t in ln.split()] for ln in lines]
+        except ValueError as exc:
+            raise ValidationError(f"prompts.file: {path}: {exc}")
     if not isinstance(prompts, list) or not prompts:
         raise ValidationError("prompts: expected a non-empty list of token lists")
     for i, prompt in enumerate(prompts):
         if not isinstance(prompt, list) or not prompt:
             raise ValidationError(f"prompts[{i}]: expected a non-empty token list")
         for t in prompt:
-            if not isinstance(t, int) or not 0 <= t < vocab_size:
+            if not _is_int(t) or not 0 <= t < vocab_size:
                 raise ValidationError(f"prompts[{i}]: token {t!r} out of vocab")
     return prompts
 
@@ -206,20 +213,19 @@ def parse_seeds(cfg: dict, override: int | None) -> list[int]:
     if not seeds:
         raise ValidationError("seeds: must be non-empty")
     for i, s in enumerate(seeds):
-        if not isinstance(s, int) or s < 0:
+        if not _is_int(s) or s < 0:
             raise ValidationError(f"seeds[{i}]: expected a non-negative integer")
     return seeds
 
 
 def parse_cost_model(cfg: dict) -> CostModel:
-    node = _get(cfg, "cost_model", expect=dict, required=False, default=None)
-    if node is None:
-        return CostModel()
+    _get(cfg, "cost_model", expect=dict, required=False)
+    costs = {f.name: float(_get(cfg, f"cost_model.{f.name}", expect=(int, float),
+                                required=False, default=f.default))
+             for f in dataclasses.fields(CostModel)}
     try:
-        return CostModel(
-            r_draft=float(node.get("r_draft", 0.1)),
-            c_verify_overhead=float(node.get("c_verify_overhead", 0.0)))
-    except (TypeError, ValueError) as exc:
+        return CostModel(**costs)
+    except ValueError as exc:
         raise ValidationError(f"cost_model: {exc}")
 
 
@@ -235,13 +241,12 @@ def parse_horizon(cfg: dict, prompts: list[list[int]]) -> int:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_decode(cfg: dict, out_dir: str, seed_override: int | None,
-               fmt: str) -> int:
+def cmd_decode(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     policy_factory, _ = parse_policy(cfg)
     prompts = parse_prompts(cfg, target.vocab_size)
-    seeds = parse_seeds(cfg, seed_override)
+    seeds = parse_seeds(cfg, args.seed_override)
     horizon = parse_horizon(cfg, prompts)
 
     results = []
@@ -252,22 +257,19 @@ def cmd_decode(cfg: dict, out_dir: str, seed_override: int | None,
                                         policy_factory(), mode, rng)
             results.append(result)
             tokens = " ".join(str(t) for t in result.output_tokens)
-            write_atomic(os.path.join(out_dir, f"tokens_seed{seed}_prompt{pi}.txt"),
+            write_atomic(os.path.join(args.out, f"tokens_seed{seed}_prompt{pi}.txt"),
                          tokens + "\n")
-    write_csv(os.path.join(out_dir, "rounds.csv"),
-              ["decode_index", "round_index", "proposed", "accepted",
-               "correction", "bonus", "mean_entropy", "next_entropy"],
+    write_csv(os.path.join(args.out, "rounds.csv"), ROUND_CSV_FIELDS,
               round_csv_rows(results))
     return 0
 
 
-def cmd_experiment(cfg: dict, out_dir: str, seed_override: int | None,
-                   fmt: str) -> int:
+def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     policy_factory, policy_label = parse_policy(cfg)
     prompts = parse_prompts(cfg, target.vocab_size)
-    seeds = parse_seeds(cfg, seed_override)
+    seeds = parse_seeds(cfg, args.seed_override)
     horizon = parse_horizon(cfg, prompts)
     config = ExperimentConfig(
         target=target, draft=draft,
@@ -283,20 +285,17 @@ def cmd_experiment(cfg: dict, out_dir: str, seed_override: int | None,
     doc = report.to_jsonable()
     doc["tool_version"] = __version__
     doc["config_echo"] = cfg
-    write_json(os.path.join(out_dir, "report.json"), doc)
-    write_csv(os.path.join(out_dir, "rounds.csv"),
-              ["decode_index", "round_index", "proposed", "accepted",
-               "correction", "bonus", "mean_entropy", "next_entropy"],
+    write_json(os.path.join(args.out, "report.json"), doc)
+    write_csv(os.path.join(args.out, "rounds.csv"), ROUND_CSV_FIELDS,
               round_csv_rows(report.results))
     return 0
 
 
-def cmd_bounds_eval(cfg: dict, out_dir: str, seed_override: int | None,
-                    fmt: str) -> int:
+def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     _get(cfg, "pairs", expect=dict)
     count = _get(cfg, "pairs.count", expect=int)
     vocab = _get(cfg, "pairs.vocab", expect=int)
-    seed = seed_override if seed_override is not None else \
+    seed = args.seed_override if args.seed_override is not None else \
         _get(cfg, "pairs.seed", expect=int)
     kind = _get(cfg, "pairs.kind", expect=str, required=False,
                 default="independent")
@@ -329,28 +328,27 @@ def cmd_bounds_eval(cfg: dict, out_dir: str, seed_override: int | None,
     } for r in reports]
     fields = ["beta", "tvd", "kl_q_p", "pinsker", "bh", "approx",
               "h_q", "h_qp", "gamma_ratio", "valid"]
-    if fmt == "json":
-        write_json(os.path.join(out_dir, "bounds.json"),
+    if args.format == "json":
+        write_json(os.path.join(args.out, "bounds.json"),
                    {"c": c, "rows": rows})
     else:
-        write_csv(os.path.join(out_dir, "bounds.csv"), fields, rows)
+        write_csv(os.path.join(args.out, "bounds.csv"), fields, rows)
     return 0
 
 
-def cmd_equivalence(cfg: dict, out_dir: str, seed_override: int | None,
-                    fmt: str) -> int:
+def cmd_equivalence(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     policy_factory, policy_label = parse_policy(cfg)
     prompt = _get(cfg, "prompt", expect=list)
     for t in prompt:
-        if not isinstance(t, int) or not 0 <= t < target.vocab_size:
+        if not _is_int(t) or not 0 <= t < target.vocab_size:
             raise ValidationError(f"prompt: token {t!r} out of vocab")
     if not prompt:
         raise ValidationError("prompt: must be non-empty")
     horizon = _get(cfg, "horizon", expect=int)
     n_samples = _get(cfg, "n_samples", expect=int)
-    seed = seed_override if seed_override is not None else \
+    seed = args.seed_override if args.seed_override is not None else \
         _get(cfg, "seed", expect=int)
     threshold = float(_get(cfg, "threshold", expect=(int, float),
                            required=False, default=0.01))
@@ -363,7 +361,7 @@ def cmd_equivalence(cfg: dict, out_dir: str, seed_override: int | None,
 
     verdict = equivalence_test(target, draft, policy_factory, prompt, horizon,
                                n_samples, make_rng(seed), threshold, mode)
-    write_json(os.path.join(out_dir, "verdict.json"), {
+    write_json(os.path.join(args.out, "verdict.json"), {
         "tvd": verdict.tvd, "passed": verdict.passed,
         "threshold": verdict.threshold, "n_samples": verdict.n_samples,
         "policy": policy_label,
@@ -373,14 +371,13 @@ def cmd_equivalence(cfg: dict, out_dir: str, seed_override: int | None,
     return 0 if verdict.passed else 3
 
 
-def cmd_oracle_stats(cfg: dict, out_dir: str, seed_override: int | None,
-                     fmt: str) -> int:
+def cmd_oracle_stats(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     prompts = parse_prompts(cfg, target.vocab_size)
     cap = _get(cfg, "cap", expect=int, required=False, default=DEFAULT_CAP)
     n_runs = _get(cfg, "n_runs", expect=int, required=False, default=1)
-    seed = seed_override if seed_override is not None else \
+    seed = args.seed_override if args.seed_override is not None else \
         _get(cfg, "seed", expect=int)
     if cap < 1:
         raise ValidationError("cap: must be >= 1")
@@ -392,11 +389,11 @@ def cmd_oracle_stats(cfg: dict, out_dir: str, seed_override: int | None,
     summary = {"mean": mean, "variance": variance, "cap": cap,
                "n_runs": n_runs, "n_prompts": len(prompts),
                "histogram": histogram.tolist()}
-    if fmt == "csv":
-        write_csv(os.path.join(out_dir, "oracle_histogram.csv"),
+    if args.format == "csv":
+        write_csv(os.path.join(args.out, "oracle_histogram.csv"),
                   ["length", "count"],
                   ({"length": i, "count": int(c)} for i, c in enumerate(histogram)))
-    write_json(os.path.join(out_dir, "oracle_stats.json"), summary)
+    write_json(os.path.join(args.out, "oracle_stats.json"), summary)
     return 0
 
 
@@ -443,8 +440,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.seed_override,
-                                       args.format)
+        return _COMMANDS[args.command](cfg, args)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -139,8 +139,6 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
                     result.draft_probe_calls += 1
                     break
                 q_cur = q_next
-            if not proposed:
-                raise ValueError("policy contract violation: zero-length round")
             result.draft_forward_calls += len(proposed)
 
         # One batched target evaluation: all drafted positions plus one.

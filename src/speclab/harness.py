@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -257,30 +257,14 @@ class ExperimentReport:
     results: list[DecodeResult] = field(repr=False, default_factory=list)
 
     def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "policy": self.policy_label,
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "seeds": list(self.seeds),
-            "accept_rate": self.accept_rate,
-            "proposed_mean": self.proposed_mean,
-            "proposed_var": self.proposed_var,
-            "accepted_mean": self.accepted_mean,
-            "accepted_var": self.accepted_var,
-            "mean_delta_to_oracle": self.mean_delta_to_oracle,
-            "entropy_accepted_mean": self.entropy_accepted_mean,
-            "entropy_rejected_mean": self.entropy_rejected_mean,
-            "kl_trace": [None if math.isnan(v) else v for v in self.kl_trace],
-            "estimated_speedup": self.estimated_speedup,
-            "total_generated": self.total_generated,
-            "total_rounds": self.total_rounds,
-            "draft_forward_calls": self.draft_forward_calls,
-            "target_forward_calls": self.target_forward_calls,
-            "draft_probe_calls": self.draft_probe_calls,
-            "cost_model": {"r_draft": self.cost_model.r_draft,
-                           "c_verify_overhead": self.cost_model.c_verify_overhead},
-        }
+        """Every field but ``results``; ``policy_label`` is written as
+        ``policy`` and NaN kl_trace entries as None."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "results"}
+        doc["policy"] = doc.pop("policy_label")
+        doc["kl_trace"] = [None if math.isnan(v) else v for v in self.kl_trace]
+        doc["cost_model"] = asdict(self.cost_model)
+        return doc
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -347,9 +331,13 @@ def summarize_experiment(config: ExperimentConfig, results: list[DecodeResult],
     )
 
 
+# Columns of rounds.csv, in order; round_csv_rows yields dicts with these keys.
+ROUND_CSV_FIELDS = ["decode_index", "round_index", "proposed", "accepted",
+                    "correction", "bonus", "mean_entropy", "next_entropy"]
+
+
 def round_csv_rows(results: Iterable[DecodeResult]):
-    """One row per round: decode_index, round_index, proposed, accepted,
-    correction, bonus, mean_entropy, next_entropy."""
+    """One row per round, keyed by ROUND_CSV_FIELDS."""
     for di, result in enumerate(results):
         for rec in result.rounds:
             mean_h = (float(np.mean(rec.draft_entropies))

@@ -6,8 +6,8 @@ decode sessions; per-context distributions are memoized internally.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Sequence
+from itertools import islice, takewhile
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,17 @@ def effective_context(context: Sequence[int], order: int) -> tuple[int, ...]:
     if len(tail) < order:
         tail = (BOS,) * (order - len(tail)) + tail
     return tail
+
+
+def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:
+    """Every reachable length-``order`` context: BOS-padded prefixes followed
+    by vocab tokens, most padding first, each padding level in np.ndindex order.
+
+    Generators that draw one row per context from an rng rely on this order.
+    """
+    for pad in range(order, -1, -1):
+        for tail in np.ndindex(*([vocab_size] * (order - pad))):
+            yield (BOS,) * pad + tuple(int(t) for t in tail)
 
 
 class AutoregressiveModel:
@@ -79,15 +90,14 @@ class TabularModel(AutoregressiveModel):
 
 
 def _first_missing_context(table, vocab_size, order):
-    # Reachable contexts are BOS-padded prefixes followed by vocab tokens.
-    for pad in range(order, -1, -1):
-        count = vocab_size ** (order - pad)
-        if count > 1_000_000:
-            raise ValueError("incomplete table: context space too large to verify without a default row")
-        for tail in np.ndindex(*([vocab_size] * (order - pad))):
-            key = (BOS,) * pad + tuple(int(t) for t in tail)
-            if key not in table:
-                return key
+    # Padding levels come smallest first; verify those of at most 1M contexts.
+    levels = [vocab_size ** n for n in range(order + 1)]
+    small = list(takewhile(lambda n: n <= 1_000_000, levels))
+    for key in islice(context_space(vocab_size, order), sum(small)):
+        if key not in table:
+            return key
+    if len(small) < len(levels):
+        raise ValueError("incomplete table: context space too large to verify without a default row")
     return None
 
 
@@ -151,59 +161,32 @@ def tabular_to_spec(model: TabularModel) -> dict:
     return doc
 
 
-class NGramModel(AutoregressiveModel):
-    """Count-based n-gram model with additive smoothing.
-
-    next_distribution(ctx)(x) = (count(ctx, x) + k_add)
-                                / (sum_y count(ctx, y) + k_add * vocab_size)
-    """
-
-    def __init__(self, vocab_size: int, order: int,
-                 counts: dict[tuple[int, ...], np.ndarray], k_add: float):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if k_add <= 0:
-            raise ValueError("k_add must be positive")
-        self.vocab_size = vocab_size
-        self.order = order
-        self.context_order = order - 1
-        self.k_add = float(k_add)
-        self.counts = counts
-        self._cache: dict[tuple[int, ...], Distribution] = {}
-        self._uniform = Distribution(np.full(vocab_size, 1.0 / vocab_size))
-
-    def next_distribution(self, context: Sequence[int]) -> Distribution:
-        key = effective_context(context, self.context_order)
-        d = self._cache.get(key)
-        if d is None:
-            c = self.counts.get(key)
-            if c is None:
-                d = self._uniform
-            else:
-                d = Distribution((c + self.k_add) / (c.sum() + self.k_add * self.vocab_size))
-            self._cache[key] = d
-        return d
-
-
 def train_ngram(corpus: Sequence[int], order: int, k_add: float,
-                vocab_size: int) -> NGramModel:
-    """Count n-grams in an integer token stream; unseen contexts smooth to uniform."""
+                vocab_size: int) -> TabularModel:
+    """Count n-grams in an integer token stream into an additively smoothed table.
+
+    row(ctx)(x) = (count(ctx, x) + k_add) / (sum_y count(ctx, y) + k_add * vocab_size)
+    for every context seen in the corpus; unseen contexts get the uniform row.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     for t in corpus:
         if not 0 <= t < vocab_size:
             raise ValueError(f"invalid corpus token: {t}")
+    if k_add <= 0:
+        raise ValueError("k_add must be positive")
+    corpus = [int(t) for t in corpus]
     counts: dict[tuple[int, ...], np.ndarray] = {}
     k = order - 1
     for i in range(len(corpus) - k):
         ctx = tuple(corpus[i:i + k])
-        nxt = corpus[i + k]
-        row = counts.get(ctx)
-        if row is None:
-            row = np.zeros(vocab_size)
-            counts[ctx] = row
-        row[nxt] += 1.0
-    return NGramModel(vocab_size, order, counts, k_add)
+        if ctx not in counts:
+            counts[ctx] = np.zeros(vocab_size)
+        counts[ctx][corpus[i + k]] += 1.0
+    table = {ctx: Distribution((c + k_add) / (c.sum() + k_add * vocab_size))
+             for ctx, c in counts.items()}
+    uniform = Distribution(np.full(vocab_size, 1.0 / vocab_size))
+    return TabularModel(vocab_size, k, table, uniform)
 
 
 class TemperedDraft(AutoregressiveModel):
@@ -268,28 +251,26 @@ def segmented_chain_model(vocab_size: int, segment_len: int, rng: Rng, *,
         raise ValueError("fork_peak must be in (0, 1)")
     order = segment_len
     table: dict[tuple[int, ...], Distribution] = {}
-    for pad in range(order, -1, -1):
-        for tail in np.ndindex(*([vocab_size] * (order - pad))):
-            ctx = (BOS,) * pad + tuple(int(t) for t in tail)
-            last = ctx[-1]
-            if last == BOS or last == 0:
-                row = np.full(vocab_size, (1.0 - fork_peak) / (vocab_size - 1))
-                row[1 + int(rng.integers(vocab_size - 1))] = fork_peak
-                table[ctx] = normalize(row)
-                continue
-            since_boundary = order
-            for back, t in enumerate(reversed(ctx)):
-                if t == 0 or t == BOS:
-                    since_boundary = back
-                    break
-            if since_boundary >= segment_len - 1:
-                peak = 0
-            else:
-                peak = 2 if last == 1 else 1
-            delta = spike_scale * float(rng.uniform(0.5, 2.0))
-            row = np.full(vocab_size, delta / (vocab_size - 1))
-            row[peak] = 1.0 - delta
+    for ctx in context_space(vocab_size, order):
+        last = ctx[-1]
+        if last == BOS or last == 0:
+            row = np.full(vocab_size, (1.0 - fork_peak) / (vocab_size - 1))
+            row[1 + int(rng.integers(vocab_size - 1))] = fork_peak
             table[ctx] = normalize(row)
+            continue
+        since_boundary = order
+        for back, t in enumerate(reversed(ctx)):
+            if t == 0 or t == BOS:
+                since_boundary = back
+                break
+        if since_boundary >= segment_len - 1:
+            peak = 0
+        else:
+            peak = 2 if last == 1 else 1
+        delta = spike_scale * float(rng.uniform(0.5, 2.0))
+        row = np.full(vocab_size, delta / (vocab_size - 1))
+        row[peak] = 1.0 - delta
+        table[ctx] = normalize(row)
     return TabularModel(vocab_size, order, table)
 
 
@@ -303,14 +284,12 @@ def random_tabular(vocab_size: int, context_order: int, rng: Rng, *,
     confident and diffuse contexts like a real generation chain.
     """
     table: dict[tuple[int, ...], Distribution] = {}
-    for pad in range(context_order, -1, -1):
-        for tail in np.ndindex(*([vocab_size] * (context_order - pad))):
-            key = (BOS,) * pad + tuple(int(t) for t in tail)
-            if spiky_fraction > 0.0 and rng.random() < spiky_fraction:
-                delta = spike_scale * rng.uniform(0.5, 2.0)
-                row = rng.dirichlet(np.full(vocab_size, 1.0)) * delta
-                row[rng.integers(vocab_size)] += 1.0 - delta
-                table[key] = normalize(row)
-            else:
-                table[key] = Distribution(rng.dirichlet(np.full(vocab_size, alpha)))
+    for key in context_space(vocab_size, context_order):
+        if spiky_fraction > 0.0 and rng.random() < spiky_fraction:
+            delta = spike_scale * rng.uniform(0.5, 2.0)
+            row = rng.dirichlet(np.full(vocab_size, 1.0)) * delta
+            row[rng.integers(vocab_size)] += 1.0 - delta
+            table[key] = normalize(row)
+        else:
+            table[key] = Distribution(rng.dirichlet(np.full(vocab_size, alpha)))
     return TabularModel(vocab_size, context_order, table)

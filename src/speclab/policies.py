@@ -90,18 +90,6 @@ class SvipPolicy(LengthPolicy):
         return math.sqrt(next_entropy) <= self.cfg.h
 
 
-def constant_policy(k: int, cap: int = DEFAULT_CAP) -> ConstantPolicy:
-    return ConstantPolicy(k, cap)
-
-
-def heuristic_policy(init: int = 5, cap: int = DEFAULT_CAP) -> HeuristicPolicy:
-    return HeuristicPolicy(init, cap)
-
-
-def svip_policy(cfg: SvipConfig | None = None) -> SvipPolicy:
-    return SvipPolicy(cfg)
-
-
 def threshold_from_bound(h_hat: float, c: float) -> float:
     """Map an acceptance-bound cutoff h_hat and scale c to the entropy threshold.
 

@@ -131,6 +131,43 @@ class TestDecode:
                      str(tmp_path / "o")]) == 2
 
 
+class TestMalformedConfig:
+    """A malformed field exits 1 and names its path; JSON true is not a number."""
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"policy": {"kind": "constant", "k": True}}, "policy.k"),
+        ({"policy": {"kind": "svip", "h": True}}, "policy.h"),
+        ({"seeds": [True]}, "seeds[0]"),
+        ({"prompts": [[True]]}, "prompts[0]"),
+        ({"cost_model": {"r_draft": "0.1"}}, "cost_model.r_draft"),
+        ({"cost_model": {"c_verify_overhead": True}}, "cost_model.c_verify_overhead"),
+    ], ids=["bool-k", "bool-h", "bool-seed", "bool-prompt-token",
+            "string-r-draft", "bool-overhead"])
+    def test_rejected_with_field_path(self, tmp_path, target_spec, capsys,
+                                      overrides, path):
+        cfg = decode_config(tmp_path, target_spec, **overrides)
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+    def test_non_integer_token_in_prompts_file(self, tmp_path, target_spec,
+                                               capsys):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("0 1\n2 x\n")
+        cfg = decode_config(tmp_path, target_spec,
+                            prompts={"file": str(prompts)})
+        assert main(["decode", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: prompts.file:")
+
+    def test_label_names_the_k_that_runs(self, tmp_path, target_spec):
+        cfg = decode_config(tmp_path, target_spec,
+                            policy={"kind": "constant", "k": 50})
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["policy"] == "constant-40"
+
+
 class TestExperiment:
     def experiment_config(self, tmp_path, target_spec, **overrides):
         doc = {

@@ -8,8 +8,8 @@ import pytest
 import speclab.engine as engine_module
 from speclab.dist import Distribution, make_rng, residual
 from speclab.engine import DecodeMode, DecodeResult, RoundRecord
-from speclab.harness import (CostModel, ExperimentConfig, entropy_stats,
-                             equivalence_test, estimated_speedup,
+from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
+                             entropy_stats, equivalence_test, estimated_speedup,
                              exact_sequence_probs, kl_trace,
                              oracle_draft_length, oracle_length_stats,
                              round_csv_rows, run_experiment,
@@ -356,10 +356,11 @@ class TestRunExperiment:
         _, rep = report
         rows = list(round_csv_rows(rep.results))
         assert len(rows) == rep.total_rounds
+        assert ROUND_CSV_FIELDS == ["decode_index", "round_index", "proposed",
+                                    "accepted", "correction", "bonus",
+                                    "mean_entropy", "next_entropy"]
         for row in rows:
-            assert set(row) == {"decode_index", "round_index", "proposed",
-                                "accepted", "correction", "bonus",
-                                "mean_entropy", "next_entropy"}
+            assert list(row) == ROUND_CSV_FIELDS
 
     def test_jsonable_round_trip_fields(self, report):
         _, rep = report

@@ -1,5 +1,8 @@
 """Synthetic model constructors and their invariants."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -62,12 +65,14 @@ class TestTabularFromSpec:
                                    [0.5, 0.5], atol=1e-15)
 
     def test_spec_round_trip(self):
-        model = random_tabular(4, 1, make_rng(88))
-        clone = tabular_from_spec(tabular_to_spec(model))
-        for ctx in ([0], [1], [2], [3], []):
-            np.testing.assert_allclose(clone.next_distribution(ctx).probs,
-                                       model.next_distribution(ctx).probs,
-                                       atol=1e-15)
+        ngram = train_ngram([0, 1, 0, 3, 3, 1, 0, 1], order=2, k_add=0.5,
+                            vocab_size=4)
+        for model in (random_tabular(4, 1, make_rng(88)), ngram):
+            clone = tabular_from_spec(json.loads(json.dumps(tabular_to_spec(model))))
+            for ctx in ([0], [1], [2], [3], []):
+                np.testing.assert_allclose(clone.next_distribution(ctx).probs,
+                                           model.next_distribution(ctx).probs,
+                                           atol=1e-15)
 
     def test_row_arity_mismatch(self):
         with pytest.raises(ValueError, match="row arity mismatch"):
@@ -210,3 +215,49 @@ class TestTabularModelDirect:
         from speclab.dist import Distribution
         with pytest.raises(ValueError, match="incomplete table"):
             TabularModel(2, 1, {(0,): Distribution([0.5, 0.5])})
+        # vocab 1001, order 2: the unpadded level has 1001^2 > 1M contexts.
+        # Smaller levels are still checked, and a gap there is named.
+        row = Distribution(np.full(1001, 1.0 / 1001))
+        table = {(BOS, BOS): row, **{(BOS, t): row for t in range(1001)}}
+        with pytest.raises(ValueError, match="too large to verify"):
+            TabularModel(1001, 2, table)
+        del table[(BOS, 5)]
+        with pytest.raises(ValueError, match=r"no row for context \(-1, 5\)"):
+            TabularModel(1001, 2, table)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Exact digests of generated tables and n-gram rows. Every decode is
+    built on these rows, so a changed digest means outputs moved; the rows
+    depend on the context order and on numpy's Generator streams."""
+
+    def test_generator_and_ngram_digests(self):
+        seeds = (0, 1, 2)
+        rng = make_rng(17)
+        corpus = [int(t) for t in rng.integers(0, 5, size=400)]
+        rows = []
+        for order in (1, 2, 3):
+            model = train_ngram(corpus, order, 0.5, 5)
+            for _ in range(200):
+                ctx = [int(rng.integers(5)) for _ in range(int(rng.integers(0, 5)))]
+                rows.append(model.next_distribution(ctx).probs.tolist())
+        got = {
+            "segmented": _digest([tabular_to_spec(segmented_chain_model(3, 4, make_rng(s)))
+                                  for s in seeds]),
+            "dense": _digest([tabular_to_spec(random_tabular(5, 2, make_rng(s)))
+                              for s in seeds]),
+            "spiky": _digest([tabular_to_spec(random_tabular(4, 2, make_rng(s), alpha=0.3,
+                                                             spiky_fraction=0.5))
+                              for s in seeds]),
+            "ngram": _digest(rows),
+        }
+        assert got == {
+            "segmented": "4927f5717ceae087c61bdc339cd9e052bbfef8f89e0e5dbd29d6a913a4c7b0a0",
+            "dense": "5969e4bde68711482a1540b05f08e5e8694daa296614481c1cca422501aa8089",
+            "spiky": "15487f4505a58f63b8d347704248c78f904489e97d9a86fa8b2734e27f9d5e5d",
+            "ngram": "96d024d62dc2f406fc96184e708aa9f70f88f1f87089e2a2b3ef0123e7a21a85",
+        }

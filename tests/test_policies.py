@@ -8,8 +8,7 @@ from speclab.dist import entropy, make_rng, sample
 from speclab.engine import DecodeMode, speculative_decode
 from speclab.models import random_tabular, temper
 from speclab.policies import (ConstantPolicy, HeuristicPolicy, SvipConfig,
-                              SvipPolicy, constant_policy, heuristic_policy,
-                              svip_policy, threshold_from_bound)
+                              SvipPolicy, threshold_from_bound)
 
 
 def simulate_round_lengths(policy, entropies_by_position, room=1000):
@@ -26,25 +25,25 @@ def simulate_round_lengths(policy, entropies_by_position, room=1000):
 
 class TestConstantPolicy:
     def test_round_length_is_k(self):
-        policy = constant_policy(5)
+        policy = ConstantPolicy(5)
         lengths = simulate_round_lengths(policy, [0.0] * 100)
         assert lengths == 5
 
     def test_single_token_lookahead(self):
-        policy = constant_policy(1)
+        policy = ConstantPolicy(1)
         assert not policy.should_continue(1, 0.0)
 
     def test_cap_dominates(self):
-        policy = constant_policy(50, cap=40)
+        policy = ConstantPolicy(50, cap=40)
         assert policy.should_continue(39, 0.0)
         assert not policy.should_continue(40, 0.0)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="invalid length"):
-            constant_policy(0)
+            ConstantPolicy(0)
 
     def test_stateless_across_rounds(self):
-        policy = constant_policy(3)
+        policy = ConstantPolicy(3)
         policy.on_round_end(3, 1, False)
         assert policy.should_continue(2, 9.9)
         assert not policy.should_continue(3, 0.0)
@@ -52,7 +51,7 @@ class TestConstantPolicy:
     def test_engine_round_lengths_are_k_except_truncation(self):
         target = random_tabular(5, 1, make_rng(71))
         draft = temper(target, 2.0, 0.1)
-        res = speculative_decode(target, draft, [0], 97, constant_policy(4),
+        res = speculative_decode(target, draft, [0], 97, ConstantPolicy(4),
                                  DecodeMode.SAMPLING, make_rng(72))
         for rec in res.rounds:
             if not rec.proposed_tokens:
@@ -63,36 +62,36 @@ class TestConstantPolicy:
 
 class TestHeuristicPolicy:
     def test_grows_by_two_on_full_acceptance(self):
-        policy = heuristic_policy(5, 40)
+        policy = HeuristicPolicy(5, 40)
         policy.on_round_end(5, 5, True)
         assert policy.length == 7
 
     def test_shrinks_by_one_on_rejection(self):
-        policy = heuristic_policy(5, 40)
+        policy = HeuristicPolicy(5, 40)
         policy.on_round_end(5, 3, False)
         assert policy.length == 4
 
     def test_floor_at_one(self):
-        policy = heuristic_policy(1, 40)
+        policy = HeuristicPolicy(1, 40)
         policy.on_round_end(1, 0, False)
         assert policy.length == 1
 
     def test_cap(self):
-        policy = heuristic_policy(39, 40)
+        policy = HeuristicPolicy(39, 40)
         policy.on_round_end(39, 39, True)
         assert policy.length == 40
 
     def test_invalid_init(self):
         with pytest.raises(ValueError, match="invalid length"):
-            heuristic_policy(0, 40)
+            HeuristicPolicy(0, 40)
         with pytest.raises(ValueError, match="invalid length"):
-            heuristic_policy(41, 40)
+            HeuristicPolicy(41, 40)
 
     def test_trajectory_reproducible_from_outcomes(self):
         target = random_tabular(5, 1, make_rng(5))
         draft = temper(target, 2.5, 0.15)
         res = speculative_decode(target, draft, [0], 300,
-                                 heuristic_policy(5, 40),
+                                 HeuristicPolicy(5, 40),
                                  DecodeMode.SAMPLING, make_rng(6))
         expected = 5
         for rec in res.rounds:
@@ -108,25 +107,25 @@ class TestHeuristicPolicy:
 
 class TestSvipPolicy:
     def test_continues_below_threshold(self):
-        policy = svip_policy(SvipConfig(h=0.3))
+        policy = SvipPolicy(SvipConfig(h=0.3))
         assert policy.should_continue(1, 0.04)  # sqrt = 0.2
 
     def test_stops_above_threshold(self):
-        policy = svip_policy(SvipConfig(h=0.3))
+        policy = SvipPolicy(SvipConfig(h=0.3))
         assert not policy.should_continue(1, 0.25)  # sqrt = 0.5
 
     def test_zero_threshold_stops_immediately(self):
-        policy = svip_policy(SvipConfig(h=0.0))
+        policy = SvipPolicy(SvipConfig(h=0.0))
         assert not policy.should_continue(1, 1e-9)
         assert policy.should_continue(1, 0.0)
 
     def test_cap_stops_even_when_confident(self):
-        policy = svip_policy(SvipConfig(h=10.0, max_len=4))
+        policy = SvipPolicy(SvipConfig(h=10.0, max_len=4))
         assert policy.should_continue(3, 0.0)
         assert not policy.should_continue(4, 0.0)
 
     def test_no_cross_round_state(self):
-        policy = svip_policy(SvipConfig(h=0.5))
+        policy = SvipPolicy(SvipConfig(h=0.5))
         policy.on_round_end(3, 0, False)
         assert policy.should_continue(1, 0.2)
 
@@ -136,7 +135,7 @@ class TestSvipPolicy:
         draft = temper(target, 1.5, 0.05)
         h = 0.8
         res = speculative_decode(target, draft, [0], 200,
-                                 svip_policy(SvipConfig(h=h)),
+                                 SvipPolicy(SvipConfig(h=h)),
                                  DecodeMode.SAMPLING, make_rng(8))
         for rec in res.rounds:
             for ent in rec.draft_entropies[1:]:
@@ -158,7 +157,7 @@ class TestSvipPolicy:
             for h in hs:
                 rng = make_rng(seed)
                 ctx = [int(seed % 6)]
-                policy = svip_policy(SvipConfig(h=h, max_len=30))
+                policy = SvipPolicy(SvipConfig(h=h, max_len=30))
                 j = 0
                 while True:
                     d = draft.next_distribution(ctx)
