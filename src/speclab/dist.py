@@ -29,10 +29,11 @@ class Distribution:
     """A normalized probability vector over a finite vocabulary.
 
     Entries are non-negative and sum to 1 within ``SUM_TOL``. Instances are
-    immutable; derived quantities (entropy, sampling cdf) are memoized.
+    immutable; derived quantities (entropy, sampling cdf, residuals against
+    other rows) are memoized.
     """
 
-    __slots__ = ("probs", "_cdf", "_entropy")
+    __slots__ = ("probs", "_cdf", "_entropy", "_residuals")
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=np.float64)
@@ -51,6 +52,7 @@ class Distribution:
         self.probs = p
         self._cdf = None
         self._entropy = None
+        self._residuals = None
 
     def __len__(self) -> int:
         return self.probs.size
@@ -77,6 +79,38 @@ def normalize(weights) -> Distribution:
     if total <= 0.0:
         raise ValueError("degenerate weights: all zero")
     return Distribution(w / total)
+
+
+def normalize_rows(rows) -> list[Distribution]:
+    """``[normalize(r) for r in rows]``, with the checks run once over the
+    stacked rows instead of once per row.
+
+    Rows the stacked checks cannot vouch for (ragged, nested, non-finite,
+    negative, all-zero) go through ``normalize`` one by one, which raises
+    the first bad row's own error.
+    """
+    try:
+        w = np.asarray(rows, dtype=np.float64)
+    except (ValueError, TypeError):
+        w = np.empty(0)
+    if w.ndim == 2 and w.size and np.all(np.isfinite(w)) and np.all(w >= 0.0):
+        total = w.sum(axis=1, keepdims=True)
+        if np.all(total > 0.0):
+            p = w / total
+            if np.all(np.abs(p.sum(axis=1) - 1.0) <= SUM_TOL):
+                p.setflags(write=False)
+                return [_validated(row) for row in p]
+    return [normalize(r) for r in rows]
+
+
+def _validated(p: np.ndarray) -> Distribution:
+    """Wrap a read-only row that already passed Distribution's checks."""
+    d = Distribution.__new__(Distribution)
+    d.probs = p
+    d._cdf = None
+    d._entropy = None
+    d._residuals = None
+    return d
 
 
 def entropy(d: Distribution) -> float:
@@ -131,14 +165,21 @@ def residual(p: Distribution, q: Distribution) -> Distribution:
     """Normalized positive part of (p - q), the correction distribution.
 
     Sampling from it on rejection is what preserves p exactly; its support
-    lies in {x : p(x) > q(x)}.
+    lies in {x : p(x) > q(x)}. Memoized on ``p`` per ``q`` object, so a
+    repeat rejection against the same pair of rows reuses one Distribution
+    and its cdf; a degenerate pair raises on every call.
     """
-    _check_lengths(p, q)
-    diff = p.probs - q.probs
-    if float(np.abs(diff).max()) <= NONNEG_TOL:
-        raise ValueError("degenerate residual: distributions coincide")
-    pos = np.maximum(diff, 0.0)
-    return Distribution(pos / pos.sum())
+    if p._residuals is None:
+        p._residuals = {}
+    r = p._residuals.get(q)
+    if r is None:
+        _check_lengths(p, q)
+        diff = p.probs - q.probs
+        if float(np.abs(diff).max()) <= NONNEG_TOL:
+            raise ValueError("degenerate residual: distributions coincide")
+        pos = np.maximum(diff, 0.0)
+        r = p._residuals[q] = Distribution(pos / pos.sum())
+    return r
 
 
 def argmax(d: Distribution) -> int:

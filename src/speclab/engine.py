@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Sequence
 
 from .dist import Distribution, Rng, argmax, entropy, residual, sample
-from .models import AutoregressiveModel
+from .models import AutoregressiveModel, trailing_context
 from .policies import LengthPolicy
 
 
@@ -104,12 +104,17 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     whole round is accepted. Rounds never overrun ``max_len``: drafting is
     truncated near the horizon, and when exactly one slot remains the final
     token comes from a drafting-free round (bonus only).
+
+    Models see the output's trailing ``max(context_order)`` tokens, taken
+    once per round, plus the round's proposals, so the cost of a model call
+    does not grow with the output length.
     """
     if target.vocab_size != draft.vocab_size:
         raise ValueError(
             f"model pair mismatch: vocab {target.vocab_size} vs {draft.vocab_size}")
     _check_prompt(prompt, max_len, target.vocab_size)
     greedy = mode is DecodeMode.GREEDY
+    width = max(target.context_order, draft.context_order)
 
     out = list(prompt)
     result = DecodeResult(output_tokens=out, prompt_len=len(prompt))
@@ -117,6 +122,7 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     while len(out) < max_len:
         start_len = len(out)
         room = max_len - start_len - 1  # proposals that can fit before the horizon
+        tail = trailing_context(out, start_len, width)
 
         proposed: list[int] = []
         entropies: list[float] = []
@@ -124,7 +130,7 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
         q_dists: list[Distribution] = []
 
         if room > 0:
-            q_cur = draft.next_distribution(out)
+            q_cur = draft.next_distribution(tail)
             while True:
                 token = argmax(q_cur) if greedy else sample(q_cur, rng)
                 proposed.append(token)
@@ -132,7 +138,7 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
                 q_dists.append(q_cur)
                 if len(proposed) >= room:
                     break
-                q_next = draft.next_distribution(out + proposed)
+                q_next = draft.next_distribution(tail + proposed)
                 h_next = entropy(q_next)
                 if not policy.should_continue(len(proposed), h_next):
                     next_entropy = h_next
@@ -142,7 +148,7 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
             result.draft_forward_calls += len(proposed)
 
         # One batched target evaluation: all drafted positions plus one.
-        p_dists = [target.next_distribution(out + proposed[:j])
+        p_dists = [target.next_distribution(tail + proposed[:j])
                    for j in range(len(proposed) + 1)]
         result.target_forward_calls += 1
 

@@ -15,7 +15,7 @@ import numpy as np
 from .dist import Distribution, Rng, argmax, kl_divergence, make_rng, sample
 from .engine import (DecodeMode, DecodeResult, RoundRecord,
                      speculative_decode, verify_greedy, verify_sampling)
-from .models import AutoregressiveModel
+from .models import AutoregressiveModel, trailing_context
 from .policies import LengthPolicy
 
 # Salt mixed into forked oracle rng streams so they never collide with the
@@ -35,10 +35,10 @@ class CostModel:
     c_verify_overhead: float = 0.0
 
     def __post_init__(self):
-        if self.r_draft <= 0:
-            raise ValueError("r_draft must be positive")
-        if self.c_verify_overhead < 0:
-            raise ValueError("c_verify_overhead must be non-negative")
+        if not math.isfinite(self.r_draft) or self.r_draft <= 0:
+            raise ValueError("r_draft must be positive and finite")
+        if not math.isfinite(self.c_verify_overhead) or self.c_verify_overhead < 0:
+            raise ValueError("c_verify_overhead must be non-negative and finite")
 
 
 def estimated_speedup(result: DecodeResult, cm: CostModel) -> float:
@@ -65,7 +65,8 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
     if cap < 1:
         raise ValueError("cap must be >= 1")
     greedy = mode is DecodeMode.GREEDY
-    ctx = list(prefix)
+    ctx = trailing_context(prefix, len(prefix),
+                           max(target.context_order, draft.context_order))
     n = 0
     while n < cap:
         q = draft.next_distribution(ctx)
@@ -124,13 +125,14 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
         raise ValueError("window must be >= 1")
     sums = np.zeros(window + 1)
     counts = np.zeros(window + 1, dtype=int)
+    width = max(target.context_order, draft.context_order)
     for result in results:
         out = result.output_tokens
         for rec in result.rounds:
             if rec.correction is None:
                 continue
             reject_idx = rec.accepted_count
-            prefix = out[:rec.start_len]
+            prefix = trailing_context(out, rec.start_len, width)
             for j in range(window + 1):
                 pos = reject_idx - j
                 if pos < 0:
@@ -275,6 +277,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     results: list[DecodeResult] = []
     deltas: list[float] = []
+    width = max(config.target.context_order, config.draft.context_order)
     for seed in config.seeds:
         for pi, prompt in enumerate(config.prompts):
             rng = make_rng((seed, pi))
@@ -288,8 +291,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 oracle_rng = make_rng((seed, pi, rec.round_index, _ORACLE_SALT))
                 oracle = oracle_draft_length(
                     config.target, config.draft,
-                    result.output_tokens[:rec.start_len], config.mode,
-                    oracle_rng, config.oracle_cap)
+                    trailing_context(result.output_tokens, rec.start_len, width),
+                    config.mode, oracle_rng, config.oracle_cap)
                 deltas.append(len(rec.proposed_tokens) - oracle)
     return summarize_experiment(config, results, deltas)
 

@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dist import Distribution, Rng, normalize
+from .dist import Distribution, Rng, normalize, normalize_rows
 
 # Reserved begin-of-sequence marker used to left-pad short contexts. It never
 # appears in the output vocabulary (tokens are >= 0).
@@ -28,6 +28,13 @@ def effective_context(context: Sequence[int], order: int) -> tuple[int, ...]:
     return tail
 
 
+def trailing_context(tokens: Sequence[int], end: int, width: int) -> list[int]:
+    """The last ``width`` tokens of ``tokens[:end]``: everything a model of
+    ``context_order <= width`` reads from that prefix. ``width == 0`` gives
+    an empty list."""
+    return list(tokens[max(0, end - width):end])
+
+
 def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:
     """Every reachable length-``order`` context: BOS-padded prefixes followed
     by vocab tokens, most padding first, each padding level in np.ndindex order.
@@ -42,8 +49,11 @@ def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:
 class AutoregressiveModel:
     """Maps a token context to a next-token Distribution.
 
-    Implementations are pure: identical contexts yield identical
-    distributions of length ``vocab_size``.
+    Implementations are pure and read only the last ``context_order`` tokens
+    of the context (BOS-padded when it is shorter): contexts that end in the
+    same ``context_order`` tokens yield identical distributions of length
+    ``vocab_size``. Decoders rely on this and pass a bounded trailing window
+    of the output (``trailing_context``), never the whole prefix.
     """
 
     vocab_size: int
@@ -119,7 +129,8 @@ def tabular_from_spec(doc: dict) -> TabularModel:
         rows = doc["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid model spec: missing field {exc}") from exc
-    table: dict[tuple[int, ...], Distribution] = {}
+    contexts: list[tuple[int, ...]] = []
+    weights = []
     for i, row in enumerate(rows):
         try:
             context = tuple(int(t) for t in row["context"])
@@ -133,7 +144,9 @@ def tabular_from_spec(doc: dict) -> TabularModel:
         for t in context:
             if t != BOS and not 0 <= t < vocab_size:
                 raise ValueError(f"invalid model spec: rows[{i}] context token {t} out of vocab")
-        table[context] = normalize(probs)
+        contexts.append(context)
+        weights.append(probs)
+    table = dict(zip(contexts, normalize_rows(weights)))
     default = None
     if doc.get("default") is not None:
         if len(doc["default"]) != vocab_size:

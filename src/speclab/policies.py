@@ -31,6 +31,8 @@ class ConstantPolicy(LengthPolicy):
     def __init__(self, k: int, cap: int = DEFAULT_CAP):
         if k < 1:
             raise ValueError("invalid length: k must be >= 1")
+        if cap < 1:
+            raise ValueError("invalid length: cap must be >= 1")
         self.k = min(k, cap)
 
     def should_continue(self, tokens_this_round: int, next_entropy: float) -> bool:

@@ -141,8 +141,13 @@ class TestMalformedConfig:
         ({"prompts": [[True]]}, "prompts[0]"),
         ({"cost_model": {"r_draft": "0.1"}}, "cost_model.r_draft"),
         ({"cost_model": {"c_verify_overhead": True}}, "cost_model.c_verify_overhead"),
+        ({"policy": {"kind": "constant", "k": 5, "cap": 0}}, "policy"),
+        ({"cost_model": {"r_draft": float("nan")}}, "cost_model"),
+        ({"cost_model": {"r_draft": float("inf")}}, "cost_model"),
+        ({"cost_model": {"c_verify_overhead": float("inf")}}, "cost_model"),
     ], ids=["bool-k", "bool-h", "bool-seed", "bool-prompt-token",
-            "string-r-draft", "bool-overhead"])
+            "string-r-draft", "bool-overhead", "constant-cap-0", "nan-r-draft",
+            "inf-r-draft", "inf-overhead"])
     def test_rejected_with_field_path(self, tmp_path, target_spec, capsys,
                                       overrides, path):
         cfg = decode_config(tmp_path, target_spec, **overrides)

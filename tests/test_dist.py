@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from speclab.dist import (Distribution, argmax, cross_entropy, entropy,
-                          kl_divergence, make_rng, normalize, residual,
-                          sample, tvd)
+                          kl_divergence, make_rng, normalize, normalize_rows,
+                          residual, sample, tvd)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -22,6 +22,34 @@ def kl_direct(q, p):
                 return float("inf")
             total += qi * math.log(qi / pi)
     return total
+
+
+class TestNormalizeRows:
+    def test_bitwise_equal_to_normalize_per_row(self):
+        rng = make_rng(12)
+        for v in (1, 3, 17, 300):
+            rows = rng.random((40, v)) * rng.choice([1e-300, 1.0, 1e8], size=(40, 1))
+            rows[rng.random((40, v)) < 0.3] = 0.0
+            rows[:, 0] += 1e-3
+            got = normalize_rows(rows.tolist())
+            want = [normalize(r) for r in rows.tolist()]
+            assert [d.probs.tobytes() for d in got] == [d.probs.tobytes() for d in want]
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, float("nan")], [1.0, float("inf")], [1.0, -0.5], [0.0, 0.0],
+        [[1.0], [2.0]], [1e308, 1e308],
+    ], ids=["nan", "inf", "negative", "all-zero", "nested", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_bad_row_raises_its_normalize_error(self, bad):
+        with pytest.raises(ValueError) as want:
+            normalize(bad)
+        with pytest.raises(ValueError) as got:
+            normalize_rows([[0.5, 0.5], bad, [0.0, 0.0]])
+        assert str(got.value) == str(want.value)
+
+    def test_ragged_rows_report_the_first_bad_row(self):
+        with pytest.raises(ValueError, match="all zero"):
+            normalize_rows([[1.0, 2.0], [0.0, 0.0, 0.0], [1.0]])
 
 
 class TestNormalize:
@@ -209,6 +237,24 @@ class TestResidual:
         d = Distribution([0.4, 0.6])
         with pytest.raises(ValueError, match="degenerate residual"):
             residual(d, d)
+
+    def test_repeat_is_memoized(self):
+        rng = make_rng(11)
+        p = Distribution(rng.dirichlet(np.ones(7)))
+        q = Distribution(rng.dirichlet(np.ones(7)))
+        r = residual(p, q)
+        assert residual(p, q) is r
+        fresh = residual(Distribution(p.probs), Distribution(q.probs))
+        assert fresh is not r
+        assert fresh.probs.tobytes() == r.probs.tobytes()
+        assert residual(q, p) is not r  # memoized per ordered pair
+
+    def test_coinciding_pair_raises_every_call(self):
+        p = Distribution([0.4, 0.6])
+        q = Distribution([0.4, 0.6 + 1e-13])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degenerate residual"):
+                residual(p, q)
 
     def test_support_and_validity(self):
         rng = make_rng(10)

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import speclab.engine as engine_module
 from speclab.dist import Distribution, make_rng, residual
 from speclab.engine import (DecodeMode, autoregressive_decode, correct_greedy,
                             correct_sampling, speculative_decode,
                             verify_greedy, verify_sampling)
-from speclab.models import random_tabular, tabular_from_spec, temper
-from speclab.policies import (ConstantPolicy, HeuristicPolicy, SvipConfig,
-                              SvipPolicy)
+from speclab.models import (AutoregressiveModel, random_tabular,
+                            tabular_from_spec, temper)
+from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
+                              SvipConfig, SvipPolicy)
 
 SAMPLING = DecodeMode.SAMPLING
 GREEDY = DecodeMode.GREEDY
@@ -36,6 +38,20 @@ def forced_chain(sequence, vocab_size):
         "vocab_size": vocab_size, "context_order": 1, "rows": rows,
         "default": [1.0] + [0.0] * (vocab_size - 1),
     })
+
+
+class Recording(AutoregressiveModel):
+    """Delegates to ``model`` and records the length of every context."""
+
+    def __init__(self, model, lengths):
+        self.model = model
+        self.vocab_size = model.vocab_size
+        self.context_order = model.context_order
+        self.lengths = lengths
+
+    def next_distribution(self, context):
+        self.lengths.append(len(context))
+        return self.model.next_distribution(context)
 
 
 class TestVerifySampling:
@@ -267,3 +283,49 @@ class TestAutoregressiveDecode:
         ones = sum(autoregressive_decode(model, [0], 2, SAMPLING, rng)[1] == 1
                    for _ in range(n))
         assert 0.694 <= ones / n <= 0.706
+
+
+class TestTrailingContext:
+    """Model calls see a bounded trailing window, with unchanged outputs."""
+
+    @staticmethod
+    def decode(target, draft, policy, mode, horizon, seed):
+        lengths = []
+        res = speculative_decode(Recording(target, lengths),
+                                 Recording(draft, lengths), [0, 1], horizon,
+                                 policy, mode, make_rng(seed))
+        return res, lengths
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("policy_factory", [
+        lambda: ConstantPolicy(5),
+        lambda: HeuristicPolicy(5, DEFAULT_CAP),
+        lambda: SvipPolicy(SvipConfig(h=0.6)),
+    ])
+    def test_bounded_and_same_as_whole_prefix(self, monkeypatch, mode,
+                                              policy_factory):
+        target = random_tabular(4, 2, make_rng(51))
+        draft = temper(random_tabular(4, 3, make_rng(52)), 2.0, 0.1)
+        width = 3  # max(target.context_order, draft.context_order)
+        horizon = 1200
+        res, lengths = self.decode(target, draft, policy_factory(), mode,
+                                   horizon, 53)
+        assert len(res.output_tokens) == horizon
+        assert max(lengths) <= width + DEFAULT_CAP
+
+        # The same decode with every model call given the whole prefix.
+        monkeypatch.setattr(engine_module, "trailing_context",
+                            lambda tokens, end, width: list(tokens[:end]))
+        ref, ref_lengths = self.decode(target, draft, policy_factory(), mode,
+                                       horizon, 53)
+        assert max(ref_lengths) >= horizon - 1
+        assert res.output_tokens == ref.output_tokens
+        assert res.rounds == ref.rounds
+
+    def test_order_zero_models_get_only_proposals(self):
+        target = order0([0.5, 0.3, 0.2])
+        draft = order0([0.2, 0.3, 0.5])
+        res, lengths = self.decode(target, draft, ConstantPolicy(7), SAMPLING,
+                                   1000, 54)
+        assert len(res.output_tokens) == 1000
+        assert max(lengths) <= 7

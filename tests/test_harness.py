@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import speclab.engine as engine_module
+import speclab.harness as harness_module
 from speclab.dist import Distribution, make_rng, residual
 from speclab.engine import DecodeMode, DecodeResult, RoundRecord
 from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
@@ -14,7 +15,8 @@ from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              oracle_draft_length, oracle_length_stats,
                              round_csv_rows, run_experiment,
                              sorted_logprob_profile, summarize_experiment)
-from speclab.models import random_tabular, tabular_from_spec, temper
+from speclab.models import (AutoregressiveModel, random_tabular,
+                            tabular_from_spec, temper)
 from speclab.policies import ConstantPolicy, HeuristicPolicy, SvipConfig, SvipPolicy
 
 SAMPLING = DecodeMode.SAMPLING
@@ -66,6 +68,14 @@ class TestEstimatedSpeedup:
             CostModel(r_draft=0.0)
         with pytest.raises(ValueError):
             CostModel(r_draft=0.1, c_verify_overhead=-1.0)
+
+    @pytest.mark.parametrize("costs", [
+        {"r_draft": math.nan}, {"r_draft": math.inf},
+        {"c_verify_overhead": math.nan}, {"c_verify_overhead": math.inf},
+    ])
+    def test_cost_model_rejects_non_finite(self, costs):
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(**costs)
 
 
 class TestOracleDraftLength:
@@ -373,3 +383,43 @@ class TestRunExperiment:
         config, rep = report
         again = summarize_experiment(config, rep.results, [0.0])
         assert again.accept_rate == rep.accept_rate
+
+
+class Recording(AutoregressiveModel):
+    """Delegates to ``model`` and records the length of every context."""
+
+    def __init__(self, model, lengths):
+        self.model = model
+        self.vocab_size = model.vocab_size
+        self.context_order = model.context_order
+        self.lengths = lengths
+
+    def next_distribution(self, context):
+        self.lengths.append(len(context))
+        return self.model.next_distribution(context)
+
+
+class TestTrailingContext:
+    def run(self):
+        target = random_tabular(4, 2, make_rng(61), spiky_fraction=0.5)
+        lengths = []
+        config = ExperimentConfig(
+            target=Recording(target, lengths),
+            draft=Recording(temper(target, 2.0, 0.2), lengths),
+            policy_factory=lambda: SvipPolicy(SvipConfig(h=0.8)),
+            policy_label="svip-0.8", mode=SAMPLING, horizon=1000,
+            prompts=[[0]], seeds=[1], oracle_cap=40, kl_window=4)
+        return run_experiment(config).to_jsonable(), lengths
+
+    def test_experiment_bounded_and_same_as_whole_prefix(self, monkeypatch):
+        report, lengths = self.run()
+        assert max(lengths) <= 2 + 40  # context_order + the longer cap
+
+        def whole(tokens, end, width):
+            return list(tokens[:end])
+
+        monkeypatch.setattr(engine_module, "trailing_context", whole)
+        monkeypatch.setattr(harness_module, "trailing_context", whole)
+        ref, ref_lengths = self.run()
+        assert max(ref_lengths) >= 999
+        assert report == ref

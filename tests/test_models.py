@@ -86,6 +86,27 @@ class TestTabularFromSpec:
                 "rows": [{"context": [0, 1], "probs": [0.5, 0.5]}],
             })
 
+    @pytest.mark.parametrize("probs, message", [
+        ([0.5, float("nan")], "invalid weight: non-finite entry"),
+        ([0.5, -0.1], "invalid weight: negative entry"),
+        ([0.0, 0.0], "degenerate weights: all zero"),
+    ])
+    def test_bad_row_weights(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            tabular_from_spec({
+                "vocab_size": 2, "context_order": 1,
+                "rows": [{"context": [0], "probs": [0.5, 0.5]},
+                         {"context": [1], "probs": probs}],
+            })
+
+    def test_context_token_out_of_vocab(self):
+        with pytest.raises(ValueError, match=r"rows\[1\] context token 2 out of vocab"):
+            tabular_from_spec({
+                "vocab_size": 2, "context_order": 1,
+                "rows": [{"context": [0], "probs": [0.5, 0.5]},
+                         {"context": [2], "probs": [0.5, 0.5]}],
+            })
+
 
 class TestTrainNgram:
     def test_corpus_round_trip(self, tmp_path):

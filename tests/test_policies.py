@@ -42,6 +42,10 @@ class TestConstantPolicy:
         with pytest.raises(ValueError, match="invalid length"):
             ConstantPolicy(0)
 
+    def test_zero_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            ConstantPolicy(5, cap=0)
+
     def test_stateless_across_rounds(self):
         policy = ConstantPolicy(3)
         policy.on_round_end(3, 1, False)
