@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .dist import (Distribution, Rng, argmax, cross_entropy, entropy,
                    kl_divergence, make_rng, normalize, residual, sample, tvd)
-from .models import (BOS, AutoregressiveModel, TabularModel, TemperedDraft,
-                     load_corpus, random_tabular, segmented_chain_model,
-                     tabular_from_spec, tabular_to_spec, temper, train_ngram)
+from .models import (BOS, AutoregressiveModel, TabularModel, load_corpus,
+                     random_tabular, segmented_chain_model, tabular_from_spec,
+                     tabular_to_spec, temper, train_ngram)
 from .engine import (DecodeMode, DecodeResult, RoundRecord,
                      autoregressive_decode, correct_greedy, correct_sampling,
                      speculative_decode, verify_greedy, verify_sampling)

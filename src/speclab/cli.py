@@ -99,6 +99,14 @@ def _get(cfg: dict, path: str, expect=None, required=True, default=None):
     return node
 
 
+def _get_count(cfg: dict, path: str, **kwargs) -> int:
+    """An integer field that must be at least 1."""
+    value = _get(cfg, path, expect=int, **kwargs)
+    if value < 1:
+        raise ValidationError(f"{path}: must be >= 1")
+    return value
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -276,9 +284,9 @@ def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
         policy_factory=policy_factory, policy_label=policy_label,
         mode=mode, horizon=horizon, prompts=prompts, seeds=seeds,
         cost_model=parse_cost_model(cfg),
-        oracle_cap=_get(cfg, "oracle_cap", expect=int, required=False,
-                        default=DEFAULT_CAP),
-        kl_window=_get(cfg, "kl_window", expect=int, required=False, default=4),
+        oracle_cap=_get_count(cfg, "oracle_cap", required=False,
+                              default=DEFAULT_CAP),
+        kl_window=_get_count(cfg, "kl_window", required=False, default=4),
         label=_get(cfg, "label", expect=str, required=False, default=""),
     )
     report = run_experiment(config)
@@ -293,7 +301,7 @@ def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     _get(cfg, "pairs", expect=dict)
-    count = _get(cfg, "pairs.count", expect=int)
+    count = _get_count(cfg, "pairs.count")
     vocab = _get(cfg, "pairs.vocab", expect=int)
     seed = args.seed_override if args.seed_override is not None else \
         _get(cfg, "pairs.seed", expect=int)
@@ -304,8 +312,6 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     eps = float(_get(cfg, "pairs.eps", expect=(int, float), required=False,
                      default=0.1))
     c = float(_get(cfg, "c", expect=(int, float), required=False, default=0.18))
-    if count < 1:
-        raise ValidationError("pairs.count: must be >= 1")
     if vocab < 2:
         raise ValidationError("pairs.vocab: must be >= 2")
     if kind not in ("independent", "tempered"):
@@ -375,14 +381,10 @@ def cmd_oracle_stats(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     prompts = parse_prompts(cfg, target.vocab_size)
-    cap = _get(cfg, "cap", expect=int, required=False, default=DEFAULT_CAP)
-    n_runs = _get(cfg, "n_runs", expect=int, required=False, default=1)
+    cap = _get_count(cfg, "cap", required=False, default=DEFAULT_CAP)
+    n_runs = _get_count(cfg, "n_runs", required=False, default=1)
     seed = args.seed_override if args.seed_override is not None else \
         _get(cfg, "seed", expect=int)
-    if cap < 1:
-        raise ValidationError("cap: must be >= 1")
-    if n_runs < 1:
-        raise ValidationError("n_runs: must be >= 1")
 
     mean, variance, histogram = oracle_length_stats(
         target, draft, prompts, mode, make_rng(seed), cap, n_runs)

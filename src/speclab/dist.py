@@ -96,21 +96,28 @@ def normalize_rows(rows) -> list[Distribution]:
     if w.ndim == 2 and w.size and np.all(np.isfinite(w)) and np.all(w >= 0.0):
         total = w.sum(axis=1, keepdims=True)
         if np.all(total > 0.0):
-            p = w / total
-            if np.all(np.abs(p.sum(axis=1) - 1.0) <= SUM_TOL):
-                p.setflags(write=False)
-                return [_validated(row) for row in p]
+            try:
+                return distribution_rows(w / total)
+            except ValueError:
+                pass
     return [normalize(r) for r in rows]
 
 
-def _validated(p: np.ndarray) -> Distribution:
-    """Wrap a read-only row that already passed Distribution's checks."""
-    d = Distribution.__new__(Distribution)
-    d.probs = p
-    d._cdf = None
-    d._entropy = None
-    d._residuals = None
-    return d
+def distribution_rows(p: np.ndarray) -> list[Distribution]:
+    """The rows of the 2-d float array ``p`` as Distributions, checked once
+    as a stack: every entry finite and non-negative, every row summing to 1
+    within ``SUM_TOL``. The rows share ``p``, which is made read-only."""
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            and np.all(np.abs(p.sum(axis=1) - 1.0) <= SUM_TOL)):
+        raise ValueError("invalid distribution: a stacked row is not a distribution")
+    p.setflags(write=False)
+    dists = []
+    for row in p:
+        d = Distribution.__new__(Distribution)
+        d.probs = row
+        d._cdf = d._entropy = d._residuals = None
+        dists.append(d)
+    return dists
 
 
 def entropy(d: Distribution) -> float:

@@ -1,17 +1,18 @@
 """Synthetic autoregressive model pairs with controllable target/draft discrepancy.
 
-Models are immutable after construction and safe to share across concurrent
-decode sessions; per-context distributions are memoized internally.
+Every model is a ``TabularModel``: its rows are built and checked once, when
+it is constructed. Models are immutable after construction and safe to share
+across concurrent decode sessions.
 """
 
 from __future__ import annotations
 
-from itertools import islice, takewhile
+from itertools import islice, product, takewhile
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dist import Distribution, Rng, normalize, normalize_rows
+from .dist import Distribution, Rng, distribution_rows, normalize, normalize_rows
 
 # Reserved begin-of-sequence marker used to left-pad short contexts. It never
 # appears in the output vocabulary (tokens are >= 0).
@@ -37,13 +38,14 @@ def trailing_context(tokens: Sequence[int], end: int, width: int) -> list[int]:
 
 def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:
     """Every reachable length-``order`` context: BOS-padded prefixes followed
-    by vocab tokens, most padding first, each padding level in np.ndindex order.
+    by vocab tokens, most padding first, each padding level in lexicographic
+    order.
 
     Generators that draw one row per context from an rng rely on this order.
     """
     for pad in range(order, -1, -1):
-        for tail in np.ndindex(*([vocab_size] * (order - pad))):
-            yield (BOS,) * pad + tuple(int(t) for t in tail)
+        for tail in product(range(vocab_size), repeat=order - pad):
+            yield (BOS,) * pad + tail
 
 
 class AutoregressiveModel:
@@ -81,9 +83,7 @@ class TabularModel(AutoregressiveModel):
         if default is not None and len(default) != vocab_size:
             raise ValueError("row arity mismatch: default row")
         if default is None:
-            missing = _first_missing_context(table, vocab_size, context_order)
-            if missing is not None:
-                raise ValueError(f"incomplete table: no row for context {missing!r} and no default")
+            _check_complete(table, vocab_size, context_order)
         self.vocab_size = vocab_size
         self.context_order = context_order
         self.table = dict(table)
@@ -99,16 +99,15 @@ class TabularModel(AutoregressiveModel):
         return row
 
 
-def _first_missing_context(table, vocab_size, order):
+def _check_complete(table, vocab_size, order):
     # Padding levels come smallest first; verify those of at most 1M contexts.
     levels = [vocab_size ** n for n in range(order + 1)]
     small = list(takewhile(lambda n: n <= 1_000_000, levels))
     for key in islice(context_space(vocab_size, order), sum(small)):
         if key not in table:
-            return key
+            raise ValueError(f"incomplete table: no row for context {key!r} and no default")
     if len(small) < len(levels):
         raise ValueError("incomplete table: context space too large to verify without a default row")
-    return None
 
 
 def tabular_from_spec(doc: dict) -> TabularModel:
@@ -202,46 +201,34 @@ def train_ngram(corpus: Sequence[int], order: int, k_add: float,
     return TabularModel(vocab_size, k, table, uniform)
 
 
-class TemperedDraft(AutoregressiveModel):
-    """Draft derived from a base model by temperature scaling plus uniform mixing.
+def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
+    """Draft derived from a base table by temperature scaling plus uniform mixing.
 
-    next_distribution = (1 - eps) * normalize(base_probs^(1/tau)) + eps * uniform.
-    tau > 1 flattens, tau < 1 sharpens; eps > 0 guarantees full support
-    (every probability >= eps / vocab_size).
+    row = (1 - eps) * normalize(base_row^(1/tau)) + eps * uniform, for every
+    row of the base table and for its default row. tau > 1 flattens, tau < 1
+    sharpens; eps > 0 guarantees full support (every probability >=
+    eps / vocab_size).
     """
-
-    def __init__(self, base: AutoregressiveModel, tau: float, eps: float = 0.0):
-        if tau <= 0:
-            raise ValueError("invalid temperature: tau must be positive")
-        if not 0.0 <= eps < 1.0:
-            raise ValueError("eps must be in [0, 1)")
-        self.base = base
-        self.tau = float(tau)
-        self.eps = float(eps)
-        self.vocab_size = base.vocab_size
-        self.context_order = base.context_order
-        self._cache: dict[tuple[int, ...], Distribution] = {}
-
-    def next_distribution(self, context: Sequence[int]) -> Distribution:
-        key = effective_context(context, self.context_order)
-        d = self._cache.get(key)
-        if d is None:
-            p = self.base.next_distribution(context).probs
-            # Power in log space so extreme 1/tau cannot underflow every entry.
-            w = np.zeros_like(p)
-            pos = p > 0.0
-            logw = np.log(p[pos]) / self.tau
-            w[pos] = np.exp(logw - logw.max())
-            w /= w.sum()
-            if self.eps > 0.0:
-                w = (1.0 - self.eps) * w + self.eps / self.vocab_size
-            d = Distribution(w)
-            self._cache[key] = d
-        return d
-
-
-def temper(base: AutoregressiveModel, tau: float, eps: float = 0.0) -> TemperedDraft:
-    return TemperedDraft(base, tau, eps)
+    if not tau > 0:
+        raise ValueError("invalid temperature: tau must be positive")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must be in [0, 1)")
+    rows = [d.probs for d in base.table.values()]
+    if base.default is not None:
+        rows.append(base.default.probs)
+    p = np.array(rows)
+    pos = p > 0.0
+    # Power in log space so extreme 1/tau cannot underflow every entry.
+    logw = np.log(np.where(pos, p, 1.0)) / tau
+    logw[~pos] = -np.inf
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    if eps > 0.0:
+        w = (1.0 - eps) * w + eps / base.vocab_size
+    dists = distribution_rows(w)
+    default = dists.pop() if base.default is not None else None
+    return TabularModel(base.vocab_size, base.context_order,
+                        dict(zip(base.table, dists)), default)
 
 
 def segmented_chain_model(vocab_size: int, segment_len: int, rng: Rng, *,

@@ -70,7 +70,7 @@ class SvipConfig:
     max_len: int = DEFAULT_CAP
 
     def __post_init__(self):
-        if self.h < 0:
+        if not self.h >= 0:  # also rejects NaN
             raise ValueError("h must be non-negative")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")

@@ -145,9 +145,14 @@ class TestMalformedConfig:
         ({"cost_model": {"r_draft": float("nan")}}, "cost_model"),
         ({"cost_model": {"r_draft": float("inf")}}, "cost_model"),
         ({"cost_model": {"c_verify_overhead": float("inf")}}, "cost_model"),
+        ({"kl_window": 0}, "kl_window"),
+        ({"oracle_cap": 0}, "oracle_cap"),
+        ({"policy": {"kind": "svip", "h": float("nan")}}, "policy"),
+        ({"draft_spec": {"temper": {"tau": float("nan")}}}, "draft_spec.temper"),
     ], ids=["bool-k", "bool-h", "bool-seed", "bool-prompt-token",
             "string-r-draft", "bool-overhead", "constant-cap-0", "nan-r-draft",
-            "inf-r-draft", "inf-overhead"])
+            "inf-r-draft", "inf-overhead", "kl-window-0", "oracle-cap-0",
+            "nan-svip-h", "nan-tau"])
     def test_rejected_with_field_path(self, tmp_path, target_spec, capsys,
                                       overrides, path):
         cfg = decode_config(tmp_path, target_spec, **overrides)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from speclab.dist import (Distribution, argmax, cross_entropy, entropy,
-                          kl_divergence, make_rng, normalize, normalize_rows,
-                          residual, sample, tvd)
+from speclab.dist import (Distribution, argmax, cross_entropy,
+                          distribution_rows, entropy, kl_divergence, make_rng,
+                          normalize, normalize_rows, residual, sample, tvd)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -50,6 +50,24 @@ class TestNormalizeRows:
     def test_ragged_rows_report_the_first_bad_row(self):
         with pytest.raises(ValueError, match="all zero"):
             normalize_rows([[1.0, 2.0], [0.0, 0.0, 0.0], [1.0]])
+
+
+class TestDistributionRows:
+    def test_rows_share_one_read_only_array(self):
+        p = np.array([[0.25, 0.75], [1.0, 0.0]])
+        dists = distribution_rows(p)
+        assert [d.probs.tolist() for d in dists] == p.tolist()
+        assert all(np.shares_memory(d.probs, p) for d in dists)
+        assert not p.flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, 0.6], [1.5, -0.5], [float("nan"), 1.0], [float("inf"), 0.0],
+    ], ids=["sum", "negative", "nan", "inf"])
+    def test_any_bad_row_rejects_the_stack(self, bad):
+        p = np.array([[0.5, 0.5], bad])
+        with pytest.raises(ValueError, match="invalid distribution"):
+            distribution_rows(p)
+        assert p.flags.writeable
 
 
 class TestNormalize:

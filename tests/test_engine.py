@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import speclab.engine as engine_module
+from speclab.bounds import acceptance_rate
 from speclab.dist import Distribution, make_rng, residual
 from speclab.engine import (DecodeMode, autoregressive_decode, correct_greedy,
                             correct_sampling, speculative_decode,
@@ -262,6 +263,27 @@ class TestSpeculativeDecode:
         with pytest.raises(ValueError, match="out of vocab"):
             speculative_decode(model, model, [9], 10, ConstantPolicy(3),
                                SAMPLING, make_rng(0))
+
+
+class TestExpectedRoundLength:
+    """Leviathan et al. (arXiv 2211.17192), eq. 1: when every position is
+    accepted with the same rate alpha, a round that proposes k tokens yields
+    (1 - alpha^(k+1)) / (1 - alpha) tokens in expectation."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_constant_k_matches_closed_form(self, k):
+        target = order0([0.5, 0.3, 0.15, 0.05])
+        draft = temper(target, 2.0, 0.1)
+        alpha = acceptance_rate(target.next_distribution([]),
+                                draft.next_distribution([]))
+        r = speculative_decode(target, draft, [0], 20_000, ConstantPolicy(k),
+                               SAMPLING, make_rng(100 + k))
+        tokens = np.array([rec.accepted_count + 1 for rec in r.rounds
+                           if len(rec.proposed_tokens) == k])
+        assert tokens.size > 2000
+        expected = (1 - alpha ** (k + 1)) / (1 - alpha)
+        se = tokens.std(ddof=1) / math.sqrt(tokens.size)
+        assert abs(tokens.mean() - expected) <= 4 * se
 
 
 class TestAutoregressiveDecode:

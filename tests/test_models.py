@@ -142,6 +142,18 @@ class TestTrainNgram:
             train_ngram([0, 5], order=2, k_add=1.0, vocab_size=2)
 
 
+def temper_row(p, tau, eps):
+    """Reference for ``temper``: the tempering formula applied to one row."""
+    w = np.zeros_like(p)
+    pos = p > 0.0
+    logw = np.log(p[pos]) / tau
+    w[pos] = np.exp(logw - logw.max())
+    w /= w.sum()
+    if eps > 0.0:
+        w = (1.0 - eps) * w + eps / p.size
+    return w
+
+
 class TestTemper:
     @pytest.fixture
     def base(self):
@@ -168,6 +180,40 @@ class TestTemper:
     def test_invalid_temperature(self, base):
         with pytest.raises(ValueError, match="invalid temperature"):
             temper(base, tau=0.0)
+
+    def test_nan_temperature_rejected(self, base):
+        with pytest.raises(ValueError, match="invalid temperature"):
+            temper(base, tau=float("nan"))
+
+    def test_rows_bitwise_equal_to_per_row_reference(self):
+        rng = make_rng(5)
+        corpus = [int(t) for t in rng.integers(0, 7, size=500)]
+        bases = [random_tabular(v, 1, rng, alpha=0.3, spiky_fraction=0.5)
+                 for v in (6, 16, 40)]
+        bases.append(train_ngram(corpus, 2, 0.01, 7))
+        for base in bases:
+            rows = list(base.table.items())
+            if base.default is not None:
+                rows.append(((BOS,) * base.context_order, base.default))
+            for tau in (1e-3, 0.7, 2.5):
+                for eps in (0.0, 0.1):
+                    draft = temper(base, tau, eps)
+                    for ctx, row in rows:
+                        want = temper_row(row.probs, tau, eps)
+                        got = draft.next_distribution(ctx).probs
+                        assert got.tobytes() == want.tobytes()
+
+    def test_draft_is_a_table_saved_as_a_model_file(self):
+        base = train_ngram([0, 1, 0, 3, 3, 1, 0, 1], order=2, k_add=0.5,
+                           vocab_size=4)
+        draft = temper(base, tau=2.0, eps=0.1)
+        assert isinstance(draft, TabularModel)
+        assert draft.table.keys() == base.table.keys()
+        clone = tabular_from_spec(json.loads(json.dumps(tabular_to_spec(draft))))
+        for ctx in ([0], [1], [2], [3], []):
+            np.testing.assert_allclose(clone.next_distribution(ctx).probs,
+                                       draft.next_distribution(ctx).probs,
+                                       atol=1e-15)
 
     def test_full_support_with_mixing(self):
         rng = make_rng(3)
@@ -281,4 +327,44 @@ class TestPinnedOutputs:
             "dense": "5969e4bde68711482a1540b05f08e5e8694daa296614481c1cca422501aa8089",
             "spiky": "15487f4505a58f63b8d347704248c78f904489e97d9a86fa8b2734e27f9d5e5d",
             "ngram": "96d024d62dc2f406fc96184e708aa9f70f88f1f87089e2a2b3ef0123e7a21a85",
+        }
+
+
+class TestPinnedTemperedRows:
+    """Exact digest of every tempered row: one per context of the base table,
+    plus an unseen context for the base's default row. The rows come from
+    numpy's log and exp, so a numpy build with other elementary functions
+    may read other digests."""
+
+    @staticmethod
+    def _bases():
+        doc = tabular_to_spec(random_tabular(5, 2, make_rng(7), alpha=0.3,
+                                             spiky_fraction=0.3))
+        doc["rows"][3]["probs"] = [0.0, 0.0, 1.0, 0.0, 0.0]
+        doc["rows"][8]["probs"][1:4] = [0.0, 0.0, 0.0]
+        corpus = [int(t) for t in make_rng(17).integers(0, 5, size=400)]
+        return {
+            "segmented": segmented_chain_model(3, 4, make_rng(0)),
+            "zero-mass": tabular_from_spec(doc),
+            "ngram": train_ngram(corpus, 3, 0.5, 5),
+        }
+
+    def test_tempered_row_digests(self):
+        got = {}
+        for name, base in self._bases().items():
+            contexts = list(base.table)
+            if base.default is not None:
+                assert effective_context([], base.context_order) not in base.table
+                contexts.append([])
+            h = hashlib.sha256()
+            for tau in (1e-3, 2.0):
+                for eps in (0.0, 0.1):
+                    draft = temper(base, tau, eps)
+                    for ctx in contexts:
+                        h.update(draft.next_distribution(ctx).probs.tobytes())
+            got[name] = h.hexdigest()
+        assert got == {
+            "segmented": "41fb3841b4c4061ce6732c9fede1591e2944f381bfe853ce1e506f044291af2b",
+            "zero-mass": "999a26adf5bb6cfdb37b7c811a24223c9ee2225764884340845e2073c08ea512",
+            "ngram": "fdc5cc4325afc54e20f2c8dfe1aa7b638533da5a9b6bcd69139f89d77195a658",
         }

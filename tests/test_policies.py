@@ -128,6 +128,11 @@ class TestSvipPolicy:
         assert policy.should_continue(3, 0.0)
         assert not policy.should_continue(4, 0.0)
 
+    @pytest.mark.parametrize("h", [-0.1, float("nan")])
+    def test_invalid_threshold_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be non-negative"):
+            SvipConfig(h=h)
+
     def test_no_cross_round_state(self):
         policy = SvipPolicy(SvipConfig(h=0.5))
         policy.on_round_end(3, 0, False)
