@@ -29,11 +29,11 @@ class Distribution:
     """A normalized probability vector over a finite vocabulary.
 
     Entries are non-negative and sum to 1 within ``SUM_TOL``. Instances are
-    immutable; derived quantities (entropy, sampling cdf, residuals against
-    other rows) are memoized.
+    immutable; derived quantities (entropy, argmax, sampling cdf, residuals
+    against other rows) are memoized.
     """
 
-    __slots__ = ("probs", "_cdf", "_entropy", "_residuals")
+    __slots__ = ("probs", "_cdf", "_entropy", "_argmax", "_residuals")
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=np.float64)
@@ -52,6 +52,7 @@ class Distribution:
         self.probs = p
         self._cdf = None
         self._entropy = None
+        self._argmax = None
         self._residuals = None
 
     def __len__(self) -> int:
@@ -115,7 +116,7 @@ def distribution_rows(p: np.ndarray) -> list[Distribution]:
     for row in p:
         d = Distribution.__new__(Distribution)
         d.probs = row
-        d._cdf = d._entropy = d._residuals = None
+        d._cdf = d._entropy = d._argmax = d._residuals = None
         dists.append(d)
     return dists
 
@@ -191,7 +192,9 @@ def residual(p: Distribution, q: Distribution) -> Distribution:
 
 def argmax(d: Distribution) -> int:
     """Index of the largest probability; ties break to the smallest index."""
-    return int(np.argmax(d.probs))
+    if d._argmax is None:
+        d._argmax = int(np.argmax(d.probs))
+    return d._argmax
 
 
 def _check_lengths(a: Distribution, b: Distribution) -> None:

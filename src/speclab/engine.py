@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Sequence
 
 from .dist import Distribution, Rng, argmax, entropy, residual, sample
-from .models import AutoregressiveModel, trailing_context
+from .models import AutoregressiveModel, context_index
 from .policies import LengthPolicy
 
 
@@ -84,10 +84,17 @@ def autoregressive_decode(target: AutoregressiveModel, prompt: Sequence[int],
                           max_len: int, mode: DecodeMode, rng: Rng) -> list[int]:
     """Target-model-only baseline: one token at a time up to ``max_len``."""
     _check_prompt(prompt, max_len, target.vocab_size)
+    greedy = mode is DecodeMode.GREEDY
+    radix = target.vocab_size + 1
+    span = radix ** target.context_order
+    row = target.row
     out = list(prompt)
+    index = context_index(out, len(out), target.vocab_size, target.context_order)
     while len(out) < max_len:
-        d = target.next_distribution(out)
-        out.append(argmax(d) if mode is DecodeMode.GREEDY else sample(d, rng))
+        d = row(index)
+        token = argmax(d) if greedy else sample(d, rng)
+        out.append(token)
+        index = (index * radix + token + 1) % span
     return out
 
 
@@ -105,40 +112,45 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     truncated near the horizon, and when exactly one slot remains the final
     token comes from a drafting-free round (bonus only).
 
-    Models see the output's trailing ``max(context_order)`` tokens, taken
-    once per round, plus the round's proposals, so the cost of a model call
-    does not grow with the output length.
+    The loop carries the ``context_index`` of the output's trailing
+    ``max(context_order)`` tokens and steps it per drafted or emitted token,
+    so the cost of a model call does not grow with the output length.
     """
-    if target.vocab_size != draft.vocab_size:
-        raise ValueError(
-            f"model pair mismatch: vocab {target.vocab_size} vs {draft.vocab_size}")
+    check_pair(target, draft)
     _check_prompt(prompt, max_len, target.vocab_size)
     greedy = mode is DecodeMode.GREEDY
     width = max(target.context_order, draft.context_order)
+    radix = target.vocab_size + 1
+    span = radix ** width
+    draft_row, target_row = draft.row, target.row
 
     out = list(prompt)
     result = DecodeResult(output_tokens=out, prompt_len=len(prompt))
+    index = context_index(out, len(out), target.vocab_size, width)
 
     while len(out) < max_len:
         start_len = len(out)
         room = max_len - start_len - 1  # proposals that can fit before the horizon
-        tail = trailing_context(out, start_len, width)
 
         proposed: list[int] = []
         entropies: list[float] = []
         next_entropy: float | None = None
         q_dists: list[Distribution] = []
+        # Context index of every drafted position plus the one after them.
+        indices = [index]
 
         if room > 0:
-            q_cur = draft.next_distribution(tail)
+            q_cur = draft_row(index)
             while True:
                 token = argmax(q_cur) if greedy else sample(q_cur, rng)
                 proposed.append(token)
                 entropies.append(entropy(q_cur))
                 q_dists.append(q_cur)
+                index = (index * radix + token + 1) % span
+                indices.append(index)
                 if len(proposed) >= room:
                     break
-                q_next = draft.next_distribution(tail + proposed)
+                q_next = draft_row(index)
                 h_next = entropy(q_next)
                 if not policy.should_continue(len(proposed), h_next):
                     next_entropy = h_next
@@ -148,8 +160,7 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
             result.draft_forward_calls += len(proposed)
 
         # One batched target evaluation: all drafted positions plus one.
-        p_dists = [target.next_distribution(tail + proposed[:j])
-                   for j in range(len(proposed) + 1)]
+        p_dists = [target_row(i) for i in indices]
         result.target_forward_calls += 1
 
         accepted = 0
@@ -167,11 +178,12 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
         bonus: int | None = None
         out.extend(proposed[:accepted])
         if correction is not None:
-            out.append(correction)
+            last = correction
         else:
             p_last = p_dists[len(proposed)]
-            bonus = argmax(p_last) if greedy else sample(p_last, rng)
-            out.append(bonus)
+            last = bonus = argmax(p_last) if greedy else sample(p_last, rng)
+        out.append(last)
+        index = (indices[accepted] * radix + last + 1) % span
 
         result.rounds.append(RoundRecord(
             round_index=len(result.rounds),
@@ -187,6 +199,14 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
             policy.on_round_end(len(proposed), accepted, accepted == len(proposed))
 
     return result
+
+
+def check_pair(target: AutoregressiveModel, draft: AutoregressiveModel) -> None:
+    """A target and draft must share the vocab: one context index, in radix
+    ``vocab_size + 1``, names the rows of both."""
+    if target.vocab_size != draft.vocab_size:
+        raise ValueError(
+            f"model pair mismatch: vocab {target.vocab_size} vs {draft.vocab_size}")
 
 
 def _check_prompt(prompt: Sequence[int], max_len: int, vocab_size: int) -> None:

@@ -13,9 +13,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dist import Distribution, Rng, argmax, kl_divergence, make_rng, sample
-from .engine import (DecodeMode, DecodeResult, RoundRecord,
+from .engine import (DecodeMode, DecodeResult, RoundRecord, check_pair,
                      speculative_decode, verify_greedy, verify_sampling)
-from .models import AutoregressiveModel, trailing_context
+from .models import AutoregressiveModel, context_index
 from .policies import LengthPolicy
 
 # Salt mixed into forked oracle rng streams so they never collide with the
@@ -64,18 +64,21 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    check_pair(target, draft)
     greedy = mode is DecodeMode.GREEDY
-    ctx = trailing_context(prefix, len(prefix),
-                           max(target.context_order, draft.context_order))
+    width = max(target.context_order, draft.context_order)
+    radix = target.vocab_size + 1
+    span = radix ** width
+    index = context_index(prefix, len(prefix), target.vocab_size, width)
     n = 0
     while n < cap:
-        q = draft.next_distribution(ctx)
+        q = draft.row(index)
         token = argmax(q) if greedy else sample(q, rng)
-        p = target.next_distribution(ctx)
+        p = target.row(index)
         ok = verify_greedy(p, token) if greedy else verify_sampling(p, q, token, rng)
         if not ok:
             break
-        ctx.append(token)
+        index = (index * radix + token + 1) % span
         n += 1
     return n
 
@@ -123,23 +126,28 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    check_pair(target, draft)
     sums = np.zeros(window + 1)
     counts = np.zeros(window + 1, dtype=int)
     width = max(target.context_order, draft.context_order)
+    radix = target.vocab_size + 1
+    span = radix ** width
     for result in results:
         out = result.output_tokens
         for rec in result.rounds:
             if rec.correction is None:
                 continue
             reject_idx = rec.accepted_count
-            prefix = trailing_context(out, rec.start_len, width)
+            # Context index of every position up to the rejected one.
+            indices = [context_index(out, rec.start_len, target.vocab_size, width)]
+            for token in rec.proposed_tokens[:reject_idx]:
+                indices.append((indices[-1] * radix + token + 1) % span)
             for j in range(window + 1):
                 pos = reject_idx - j
                 if pos < 0:
                     break
-                ctx = prefix + rec.proposed_tokens[:pos]
-                q = draft.next_distribution(ctx)
-                p = target.next_distribution(ctx)
+                q = draft.row(indices[pos])
+                p = target.row(indices[pos])
                 sums[j] += kl_divergence(q, p)
                 counts[j] += 1
     with np.errstate(invalid="ignore"):
@@ -285,13 +293,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                                         config.horizon, config.policy_factory(),
                                         config.mode, rng)
             results.append(result)
+            out = result.output_tokens
             for rec in result.rounds:
                 if not rec.proposed_tokens:
                     continue
                 oracle_rng = make_rng((seed, pi, rec.round_index, _ORACLE_SALT))
                 oracle = oracle_draft_length(
                     config.target, config.draft,
-                    trailing_context(result.output_tokens, rec.start_len, width),
+                    out[max(rec.start_len - width, 0):rec.start_len],
                     config.mode, oracle_rng, config.oracle_cap)
                 deltas.append(len(rec.proposed_tokens) - oracle)
     return summarize_experiment(config, results, deltas)

@@ -7,7 +7,7 @@ across concurrent decode sessions.
 
 from __future__ import annotations
 
-from itertools import islice, product, takewhile
+from itertools import chain, islice, product, takewhile
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -19,21 +19,21 @@ from .dist import Distribution, Rng, distribution_rows, normalize, normalize_row
 BOS = -1
 
 
-def effective_context(context: Sequence[int], order: int) -> tuple[int, ...]:
-    """Trailing ``order`` tokens of ``context``, left-padded with BOS."""
-    if order == 0:
-        return ()
-    tail = tuple(context[-order:])
-    if len(tail) < order:
-        tail = (BOS,) * (order - len(tail)) + tail
-    return tail
+def context_index(tokens: Sequence[int], end: int, vocab_size: int,
+                  width: int) -> int:
+    """Mixed-radix index of the last ``width`` tokens of ``tokens[:end]``.
 
-
-def trailing_context(tokens: Sequence[int], end: int, width: int) -> list[int]:
-    """The last ``width`` tokens of ``tokens[:end]``: everything a model of
-    ``context_order <= width`` reads from that prefix. ``width == 0`` gives
-    an empty list."""
-    return list(tokens[max(0, end - width):end])
+    The radix is ``vocab_size + 1``: token t is digit t + 1, and BOS (and
+    every missing leading token) is digit 0, so a context and its BOS-padded
+    form share an index. Appending token t steps the index of a width-W
+    window to ``(index * radix + t + 1) % radix ** W``. Tokens must lie in
+    ``[BOS, vocab_size)``.
+    """
+    radix = vocab_size + 1
+    index = 0
+    for pos in range(max(end - width, 0), end):
+        index = index * radix + int(tokens[pos]) + 1
+    return index
 
 
 def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:
@@ -52,21 +52,39 @@ class AutoregressiveModel:
     """Maps a token context to a next-token Distribution.
 
     Implementations are pure and read only the last ``context_order`` tokens
-    of the context (BOS-padded when it is shorter): contexts that end in the
-    same ``context_order`` tokens yield identical distributions of length
-    ``vocab_size``. Decoders rely on this and pass a bounded trailing window
-    of the output (``trailing_context``), never the whole prefix.
+    of the context (BOS-padded when it is shorter). ``row(index)`` is the one
+    method an implementation defines: the row of the context whose
+    ``context_index`` is ``index % (vocab_size + 1) ** context_order``, so a
+    decoder can carry one index over the widest window of a model pair and
+    step it per token. ``next_distribution`` is derived from ``row``.
     """
 
     vocab_size: int
     context_order: int
 
-    def next_distribution(self, context: Sequence[int]) -> Distribution:
+    def row(self, index: int) -> Distribution:
         raise NotImplementedError
+
+    def missing_row(self, context: tuple[int, ...]) -> Distribution:
+        """Row of a BOS-padded context that no index names (it holds a
+        token outside the vocab)."""
+        raise ValueError(f"no row for context {context!r}")
+
+    def next_distribution(self, context: Sequence[int]) -> Distribution:
+        k = self.context_order
+        tail = context[max(len(context) - k, 0):]
+        if all(BOS <= t < self.vocab_size for t in tail):
+            return self.row(context_index(tail, len(tail), self.vocab_size, k))
+        return self.missing_row((BOS,) * (k - len(tail)) + tuple(tail))
 
 
 class TabularModel(AutoregressiveModel):
-    """Explicit lookup table from length-k contexts to next-token rows."""
+    """Explicit lookup table from length-k contexts to next-token rows.
+
+    ``table`` maps context tuples to rows; ``rows`` maps the same rows by
+    context index, built once here. A context without a row gets
+    ``default``, or raises when there is none.
+    """
 
     def __init__(self, vocab_size: int, context_order: int,
                  table: dict[tuple[int, ...], Distribution],
@@ -80,6 +98,17 @@ class TabularModel(AutoregressiveModel):
                 raise ValueError(f"row arity mismatch: context {key!r}")
             if len(row) != vocab_size:
                 raise ValueError(f"row arity mismatch: {len(row)} probs for context {key!r}")
+        radix = vocab_size + 1
+        span = radix ** context_order
+        # context_index of every key at once; Python ints once int64 would overflow.
+        keys = np.fromiter(chain.from_iterable(table), count=len(table) * context_order,
+                           dtype=np.int64 if span < 2 ** 63 else object)
+        if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
+            bad = next(key for key in table if not all(BOS <= t < vocab_size for t in key))
+            raise ValueError(f"invalid context {bad!r}: token out of vocab")
+        powers = np.array([radix ** e for e in range(context_order - 1, -1, -1)],
+                          dtype=keys.dtype)
+        index = (keys.reshape(len(table), context_order) + 1) @ powers
         if default is not None and len(default) != vocab_size:
             raise ValueError("row arity mismatch: default row")
         if default is None:
@@ -87,16 +116,29 @@ class TabularModel(AutoregressiveModel):
         self.vocab_size = vocab_size
         self.context_order = context_order
         self.table = dict(table)
+        self.rows = dict(zip(index.tolist(), table.values()))
+        self.span = span
         self.default = default
 
-    def next_distribution(self, context: Sequence[int]) -> Distribution:
-        key = effective_context(context, self.context_order)
-        row = self.table.get(key)
+    def row(self, index: int) -> Distribution:
+        index %= self.span
+        row = self.rows.get(index)
         if row is None:
-            row = self.default
-            if row is None:
-                raise ValueError(f"incomplete table: no row for context {key!r}")
+            return self.missing_row(self._context_of(index))
         return row
+
+    def missing_row(self, context: tuple[int, ...]) -> Distribution:
+        if self.default is None:
+            raise ValueError(f"incomplete table: no row for context {context!r}")
+        return self.default
+
+    def _context_of(self, index: int) -> tuple[int, ...]:
+        """Inverse of ``context_index`` for ``0 <= index < span``."""
+        tokens = []
+        for _ in range(self.context_order):
+            index, digit = divmod(index, self.vocab_size + 1)
+            tokens.append(digit - 1)
+        return tuple(reversed(tokens))
 
 
 def _check_complete(table, vocab_size, order):
@@ -128,6 +170,7 @@ def tabular_from_spec(doc: dict) -> TabularModel:
         rows = doc["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid model spec: missing field {exc}") from exc
+    _check_list(rows, "rows")
     contexts: list[tuple[int, ...]] = []
     weights = []
     for i, row in enumerate(rows):
@@ -136,6 +179,7 @@ def tabular_from_spec(doc: dict) -> TabularModel:
             probs = row["probs"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid model spec: rows[{i}]: {exc}") from exc
+        _check_list(probs, f"rows[{i}].probs")
         if len(context) != context_order:
             raise ValueError(f"row arity mismatch: rows[{i}] context has {len(context)} tokens")
         if len(probs) != vocab_size:
@@ -148,10 +192,17 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     table = dict(zip(contexts, normalize_rows(weights)))
     default = None
     if doc.get("default") is not None:
+        _check_list(doc["default"], "default")
         if len(doc["default"]) != vocab_size:
             raise ValueError("row arity mismatch: default row")
         default = normalize(doc["default"])
     return TabularModel(vocab_size, context_order, table, default)
+
+
+def _check_list(value, path: str) -> None:
+    if not isinstance(value, list):
+        raise ValueError(
+            f"invalid model spec: {path}: expected a list, got {type(value).__name__}")
 
 
 def load_corpus(path) -> list[int]:

@@ -160,6 +160,25 @@ class TestMalformedConfig:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    @pytest.mark.parametrize("path, shape", [
+        ("target_spec", {"rows": 7}),
+        ("target_spec", {"probs": 0.5}),
+        ("draft_spec", {"default": 5}),
+    ], ids=["int-rows", "float-probs", "int-default"])
+    def test_malformed_model_file(self, tmp_path, target_spec, capsys, path,
+                                  shape):
+        with open(target_spec) as f:
+            doc = json.load(f)
+        if "probs" in shape:
+            doc["rows"][1]["probs"] = shape["probs"]
+        else:
+            doc.update(shape)
+        model = write_config(tmp_path, "model.json", doc)
+        cfg = decode_config(tmp_path, **{"target_spec": target_spec, path: model})
+        assert main(["decode", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
     def test_non_integer_token_in_prompts_file(self, tmp_path, target_spec,
                                                capsys):
         prompts = tmp_path / "prompts.txt"

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-import speclab.engine as engine_module
 from speclab.bounds import acceptance_rate
-from speclab.dist import Distribution, make_rng, residual
-from speclab.engine import (DecodeMode, autoregressive_decode, correct_greedy,
+from speclab.dist import Distribution, argmax, entropy, make_rng, residual, sample
+from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
+                            autoregressive_decode, correct_greedy,
                             correct_sampling, speculative_decode,
                             verify_greedy, verify_sampling)
 from speclab.models import (AutoregressiveModel, random_tabular,
@@ -42,17 +42,74 @@ def forced_chain(sequence, vocab_size):
 
 
 class Recording(AutoregressiveModel):
-    """Delegates to ``model`` and records the length of every context."""
+    """Delegates to ``model`` and records every row index it is asked for."""
 
-    def __init__(self, model, lengths):
+    def __init__(self, model, indices):
         self.model = model
         self.vocab_size = model.vocab_size
         self.context_order = model.context_order
-        self.lengths = lengths
+        self.indices = indices
 
-    def next_distribution(self, context):
-        self.lengths.append(len(context))
-        return self.model.next_distribution(context)
+    def row(self, index):
+        self.indices.append(index)
+        return self.model.row(index)
+
+
+def reference_decode(target, draft, prompt, max_len, policy, mode, rng):
+    """``speculative_decode`` as a loop that hands every model call the whole
+    prefix (``next_distribution(out + proposed[:j])``)."""
+    greedy = mode is GREEDY
+    out = list(prompt)
+    result = DecodeResult(output_tokens=out, prompt_len=len(prompt))
+    while len(out) < max_len:
+        start_len = len(out)
+        room = max_len - start_len - 1
+        proposed, entropies, q_dists = [], [], []
+        next_entropy = None
+        if room > 0:
+            q_cur = draft.next_distribution(out)
+            while True:
+                token = argmax(q_cur) if greedy else sample(q_cur, rng)
+                proposed.append(token)
+                entropies.append(entropy(q_cur))
+                q_dists.append(q_cur)
+                if len(proposed) >= room:
+                    break
+                q_next = draft.next_distribution(out + proposed)
+                h_next = entropy(q_next)
+                if not policy.should_continue(len(proposed), h_next):
+                    next_entropy = h_next
+                    result.draft_probe_calls += 1
+                    break
+                q_cur = q_next
+            result.draft_forward_calls += len(proposed)
+        p_dists = [target.next_distribution(out + proposed[:j])
+                   for j in range(len(proposed) + 1)]
+        result.target_forward_calls += 1
+        accepted, correction, bonus = 0, None, None
+        for j, token in enumerate(proposed):
+            ok = (verify_greedy(p_dists[j], token) if greedy
+                  else verify_sampling(p_dists[j], q_dists[j], token, rng))
+            if not ok:
+                correction = (correct_greedy(p_dists[j]) if greedy
+                              else correct_sampling(p_dists[j], q_dists[j], rng))
+                break
+            accepted += 1
+        out.extend(proposed[:accepted])
+        if correction is not None:
+            out.append(correction)
+        else:
+            p_last = p_dists[len(proposed)]
+            bonus = argmax(p_last) if greedy else sample(p_last, rng)
+            out.append(bonus)
+        result.rounds.append(RoundRecord(
+            round_index=len(result.rounds), start_len=start_len,
+            proposed_tokens=proposed, draft_entropies=entropies,
+            next_entropy=next_entropy, accepted_count=accepted,
+            correction=correction, bonus=bonus))
+        if proposed:
+            policy.on_round_end(len(proposed), accepted, accepted == len(proposed))
+    return result
 
 
 class TestVerifySampling:
@@ -308,15 +365,16 @@ class TestAutoregressiveDecode:
 
 
 class TestTrailingContext:
-    """Model calls see a bounded trailing window, with unchanged outputs."""
+    """Model calls get a bounded row index, with the outputs of whole-prefix
+    lookups."""
 
     @staticmethod
     def decode(target, draft, policy, mode, horizon, seed):
-        lengths = []
-        res = speculative_decode(Recording(target, lengths),
-                                 Recording(draft, lengths), [0, 1], horizon,
+        indices = []
+        res = speculative_decode(Recording(target, indices),
+                                 Recording(draft, indices), [0, 1], horizon,
                                  policy, mode, make_rng(seed))
-        return res, lengths
+        return res, indices
 
     @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
     @pytest.mark.parametrize("policy_factory", [
@@ -324,30 +382,28 @@ class TestTrailingContext:
         lambda: HeuristicPolicy(5, DEFAULT_CAP),
         lambda: SvipPolicy(SvipConfig(h=0.6)),
     ])
-    def test_bounded_and_same_as_whole_prefix(self, monkeypatch, mode,
-                                              policy_factory):
+    def test_bounded_and_same_as_whole_prefix(self, mode, policy_factory):
         target = random_tabular(4, 2, make_rng(51))
         draft = temper(random_tabular(4, 3, make_rng(52)), 2.0, 0.1)
-        width = 3  # max(target.context_order, draft.context_order)
+        span = 5 ** 3  # radix vocab + 1, width max(context_order)
         horizon = 1200
-        res, lengths = self.decode(target, draft, policy_factory(), mode,
+        res, indices = self.decode(target, draft, policy_factory(), mode,
                                    horizon, 53)
         assert len(res.output_tokens) == horizon
-        assert max(lengths) <= width + DEFAULT_CAP
+        assert 0 <= min(indices) and max(indices) < span
 
-        # The same decode with every model call given the whole prefix.
-        monkeypatch.setattr(engine_module, "trailing_context",
-                            lambda tokens, end, width: list(tokens[:end]))
-        ref, ref_lengths = self.decode(target, draft, policy_factory(), mode,
-                                       horizon, 53)
-        assert max(ref_lengths) >= horizon - 1
+        ref = reference_decode(target, draft, [0, 1], horizon,
+                               policy_factory(), mode, make_rng(53))
         assert res.output_tokens == ref.output_tokens
         assert res.rounds == ref.rounds
+        assert res == ref
 
     def test_order_zero_models_get_only_proposals(self):
         target = order0([0.5, 0.3, 0.2])
         draft = order0([0.2, 0.3, 0.5])
-        res, lengths = self.decode(target, draft, ConstantPolicy(7), SAMPLING,
+        res, indices = self.decode(target, draft, ConstantPolicy(7), SAMPLING,
                                    1000, 54)
         assert len(res.output_tokens) == 1000
-        assert max(lengths) <= 7
+        assert set(indices) == {0}  # span 4 ** 0: one context
+        assert res == reference_decode(target, draft, [0, 1], 1000,
+                                       ConstantPolicy(7), SAMPLING, make_rng(54))

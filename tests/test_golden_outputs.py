@@ -1,0 +1,73 @@
+"""Byte-identical CLI outputs: the sha256 of every file that the shipped
+experiment, oracle-stats and bounds-eval configs and one greedy decode write.
+
+The digests were recorded while models were still looked up by context tuple,
+before the engine carried a context index. A change that means to alter
+outputs must say why and record them again. ``equivalence.json`` is left out:
+acceptance criterion 5 already runs its 200k decodes. The files hold floats
+from numpy's cumsum, log and exp, so a numpy build with other elementary
+functions may read other digests.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from speclab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GREEDY_DECODE = {
+    "target_spec": "configs/segmented_target.json",
+    "draft_spec": {"temper": {"tau": 2.0, "eps": 0.2}},
+    "mode": "greedy", "policy": {"kind": "heuristic", "init": 5, "cap": 40},
+    "horizon": 300, "prompts": [[1], [2]], "seeds": [5],
+}
+
+# name -> (command, config, --format, {file: sha256})
+RUNS = {
+    "experiment_constant5": ("experiment", "configs/experiment_constant5.json", "csv", {
+        "report.json": "e75606a7d8bab0862feec575241ca36e3ccb958b8ff539a8fc451fb908e9b706",
+        "rounds.csv": "f829a0cde29177aebfb5652bc6b0d7f24132fdd63e80b83c85917fd77a924062",
+    }),
+    "experiment_heuristic": ("experiment", "configs/experiment_heuristic.json", "csv", {
+        "report.json": "712e8c12546b36ec130671f9f263dd281517b3fb12cda586738aa84403cc1649",
+        "rounds.csv": "ec58e2afa00b5b407be3f851ca55972c2ca3d949f2dfa9e822b64c5379fab417",
+    }),
+    "experiment_svip": ("experiment", "configs/experiment_svip.json", "csv", {
+        "report.json": "4cf52475bb9f80f099f2103c96756a703676c36c980a5aee388fdc29e14aba80",
+        "rounds.csv": "2bfbd02141605d4edb851ca163353d83b7e0726aaad028532ac11467dbd2db68",
+    }),
+    "oracle_stats": ("oracle-stats", "configs/oracle_stats.json", "csv", {
+        "oracle_histogram.csv": "b24dc1b78dbdee33358d878693f2801337b10751163f58b6117665baf6e3aae5",
+        "oracle_stats.json": "714ecbd8ad36b068374a9464fe1c97961e959d718274181e0040e540d76da78c",
+    }),
+    "bounds_eval_csv": ("bounds-eval", "configs/bounds_eval.json", "csv", {
+        "bounds.csv": "c9e900d299231f114fcf28d34b478c34528ae29f52a0e8947b4074517aaee874",
+    }),
+    "bounds_eval_json": ("bounds-eval", "configs/bounds_eval.json", "json", {
+        "bounds.json": "19c87ec47ef7774703637d3996d56d4d8e792f6b0480f964dfc5e7cfdf0822bc",
+    }),
+    "decode_greedy_heuristic": ("decode", None, "csv", {
+        "rounds.csv": "591f68d0339e34ca35d4dd35a445c75c114d007a0e521f77b5ef46df57745ee4",
+        "tokens_seed5_prompt0.txt": "b4e5ca12273e35d777771ad88d642d659fa9d52bdd3e742978145a74b28682f3",
+        "tokens_seed5_prompt1.txt": "a7e98162dc815f86332a90628aed46670b8e9ae1a1663be8dcfbd5ed5b97ac7d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_outputs_match_recorded_digests(tmp_path, monkeypatch, name):
+    command, config, fmt, digests = RUNS[name]
+    if config is None:
+        config = tmp_path / "decode.json"
+        config.write_text(json.dumps(GREEDY_DECODE))
+    monkeypatch.chdir(ROOT)  # configs name the model file relative to the root
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--format", fmt]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == digests

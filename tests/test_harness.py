@@ -7,17 +7,19 @@ import pytest
 
 import speclab.engine as engine_module
 import speclab.harness as harness_module
-from speclab.dist import Distribution, make_rng, residual
-from speclab.engine import DecodeMode, DecodeResult, RoundRecord
+from speclab.dist import (Distribution, argmax, kl_divergence, make_rng,
+                          residual, sample)
+from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
+                            verify_greedy, verify_sampling)
 from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              entropy_stats, equivalence_test, estimated_speedup,
                              exact_sequence_probs, kl_trace,
                              oracle_draft_length, oracle_length_stats,
                              round_csv_rows, run_experiment,
                              sorted_logprob_profile, summarize_experiment)
-from speclab.models import (AutoregressiveModel, random_tabular,
-                            tabular_from_spec, temper)
+from speclab.models import random_tabular, tabular_from_spec, temper
 from speclab.policies import ConstantPolicy, HeuristicPolicy, SvipConfig, SvipPolicy
+from test_engine import Recording, reference_decode
 
 SAMPLING = DecodeMode.SAMPLING
 GREEDY = DecodeMode.GREEDY
@@ -114,6 +116,14 @@ class TestOracleDraftLength:
         a = oracle_draft_length(target, draft, [1], GREEDY, make_rng(1), 40)
         b = oracle_draft_length(target, draft, [1], GREEDY, make_rng(999), 40)
         assert a == b
+
+    def test_model_pair_vocab_mismatch(self):
+        # One context index names the rows of both models, so their vocab must match.
+        target, draft = order0([0.2, 0.3, 0.5]), order0([0.5, 0.5])
+        with pytest.raises(ValueError, match="model pair mismatch"):
+            oracle_draft_length(target, draft, [0], SAMPLING, make_rng(0), 5)
+        with pytest.raises(ValueError, match="model pair mismatch"):
+            kl_trace(target, draft, [], window=2)
 
 
 class TestOracleLengthStats:
@@ -385,41 +395,83 @@ class TestRunExperiment:
         assert again.accept_rate == rep.accept_rate
 
 
-class Recording(AutoregressiveModel):
-    """Delegates to ``model`` and records the length of every context."""
+def reference_oracle(target, draft, prefix, mode, rng, cap):
+    """``oracle_draft_length`` with whole-prefix model calls."""
+    greedy = mode is GREEDY
+    ctx = list(prefix)
+    n = 0
+    while n < cap:
+        q = draft.next_distribution(ctx)
+        token = argmax(q) if greedy else sample(q, rng)
+        p = target.next_distribution(ctx)
+        ok = verify_greedy(p, token) if greedy else verify_sampling(p, q, token, rng)
+        if not ok:
+            break
+        ctx.append(token)
+        n += 1
+    return n
 
-    def __init__(self, model, lengths):
-        self.model = model
-        self.vocab_size = model.vocab_size
-        self.context_order = model.context_order
-        self.lengths = lengths
 
-    def next_distribution(self, context):
-        self.lengths.append(len(context))
-        return self.model.next_distribution(context)
+def reference_kl_trace(target, draft, results, window):
+    """``kl_trace`` with whole-prefix model calls."""
+    sums = np.zeros(window + 1)
+    counts = np.zeros(window + 1, dtype=int)
+    for result in results:
+        for rec in result.rounds:
+            if rec.correction is None:
+                continue
+            for j in range(window + 1):
+                pos = rec.accepted_count - j
+                if pos < 0:
+                    break
+                ctx = result.output_tokens[:rec.start_len] + rec.proposed_tokens[:pos]
+                sums[j] += kl_divergence(draft.next_distribution(ctx),
+                                         target.next_distribution(ctx))
+                counts[j] += 1
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 class TestTrailingContext:
-    def run(self):
-        target = random_tabular(4, 2, make_rng(61), spiky_fraction=0.5)
-        lengths = []
-        config = ExperimentConfig(
-            target=Recording(target, lengths),
-            draft=Recording(temper(target, 2.0, 0.2), lengths),
+    @staticmethod
+    def config(target, draft):
+        return ExperimentConfig(
+            target=target, draft=draft,
             policy_factory=lambda: SvipPolicy(SvipConfig(h=0.8)),
             policy_label="svip-0.8", mode=SAMPLING, horizon=1000,
             prompts=[[0]], seeds=[1], oracle_cap=40, kl_window=4)
-        return run_experiment(config).to_jsonable(), lengths
+
+    @staticmethod
+    def reference_experiment(config, monkeypatch):
+        """``run_experiment`` with whole-prefix model calls throughout."""
+        results, deltas = [], []
+        for seed in config.seeds:
+            for pi, prompt in enumerate(config.prompts):
+                result = reference_decode(config.target, config.draft, prompt,
+                                          config.horizon, config.policy_factory(),
+                                          config.mode, make_rng((seed, pi)))
+                results.append(result)
+                for rec in result.rounds:
+                    if not rec.proposed_tokens:
+                        continue
+                    oracle = reference_oracle(
+                        config.target, config.draft,
+                        result.output_tokens[:rec.start_len], config.mode,
+                        make_rng((seed, pi, rec.round_index,
+                                  harness_module._ORACLE_SALT)),
+                        config.oracle_cap)
+                    deltas.append(len(rec.proposed_tokens) - oracle)
+        monkeypatch.setattr(harness_module, "kl_trace", reference_kl_trace)
+        return summarize_experiment(config, results, deltas)
 
     def test_experiment_bounded_and_same_as_whole_prefix(self, monkeypatch):
-        report, lengths = self.run()
-        assert max(lengths) <= 2 + 40  # context_order + the longer cap
+        target = random_tabular(4, 2, make_rng(61), spiky_fraction=0.5)
+        draft = temper(target, 2.0, 0.2)
+        indices = []
+        report = run_experiment(self.config(Recording(target, indices),
+                                            Recording(draft, indices)))
+        assert 0 <= min(indices) and max(indices) < 5 ** 2  # radix ** width
 
-        def whole(tokens, end, width):
-            return list(tokens[:end])
-
-        monkeypatch.setattr(engine_module, "trailing_context", whole)
-        monkeypatch.setattr(harness_module, "trailing_context", whole)
-        ref, ref_lengths = self.run()
-        assert max(ref_lengths) >= 999
-        assert report == ref
+        ref = self.reference_experiment(self.config(target, draft), monkeypatch)
+        assert report.to_jsonable() == ref.to_jsonable()
+        assert report.results == ref.results

@@ -5,10 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speclab.dist import entropy, make_rng
-from speclab.models import (BOS, TabularModel, effective_context, load_corpus,
-                            random_tabular, segmented_chain_model,
+from speclab.dist import entropy, make_rng, normalize
+from speclab.models import (BOS, TabularModel, context_index, context_space,
+                            load_corpus, random_tabular, segmented_chain_model,
                             tabular_from_spec, tabular_to_spec, temper,
                             train_ngram)
 
@@ -20,14 +22,109 @@ def assert_valid_distribution(d, vocab_size):
 
 
 class TestEffectiveContext:
+    """A model reads the BOS-padded last ``context_order`` tokens of its
+    context; their ``context_index`` names the row."""
+
     def test_truncates_to_order(self):
-        assert effective_context([5, 6, 7, 8], 2) == (7, 8)
+        model = random_tabular(9, 2, make_rng(3))
+        assert model.next_distribution([5, 6, 7, 8]) is model.table[(7, 8)]
+        assert context_index([5, 6, 7, 8], 4, 9, 2) == 8 * 10 + 9
 
     def test_pads_short_context(self):
-        assert effective_context([3], 3) == (BOS, BOS, 3)
+        model = random_tabular(4, 3, make_rng(4))
+        assert model.next_distribution([3]) is model.table[(BOS, BOS, 3)]
+        assert context_index([3], 1, 4, 3) == context_index([BOS, BOS, 3], 3, 4, 3) == 4
 
     def test_order_zero(self):
-        assert effective_context([1, 2], 0) == ()
+        model = random_tabular(3, 0, make_rng(5))
+        assert model.next_distribution([1, 2]) is model.table[()]
+        assert context_index([1, 2], 2, 3, 0) == 0
+
+
+def reference_row(model, context):
+    """The lookup by context tuple that row indices replaced: the table row
+    of the BOS-padded last ``context_order`` tokens, else the default row,
+    else the incomplete-table error."""
+    k = model.context_order
+    key = tuple(context[-k:]) if k else ()
+    key = (BOS,) * (k - len(key)) + key
+    row = model.table.get(key)
+    if row is None:
+        row = model.default
+        if row is None:
+            raise ValueError(f"incomplete table: no row for context {key!r}")
+    return row
+
+
+def outcome(lookup, *args):
+    """The row ``lookup`` returns, or the message of the error it raises."""
+    try:
+        return lookup(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got is want
+
+
+@st.composite
+def tables(draw):
+    """Tables of order 0-3 over vocab 1-5, complete without a default row or
+    any subset of contexts with one; rows have zero-mass entries."""
+    vocab = draw(st.integers(1, 5))
+    order = draw(st.integers(0, 3))
+    keys = list(context_space(vocab, order))
+    with_default = draw(st.booleans())
+    if with_default:
+        keep = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        keys = [key for key, kept in zip(keys, keep) if kept]
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def row():
+        w = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.6)
+        w[rng.integers(vocab)] += 0.5
+        return normalize(w)
+
+    table = {key: row() for key in keys}
+    return TabularModel(vocab, order, table, row() if with_default else None)
+
+
+class TestRowIndex:
+    """``next_distribution`` and a stepped ``row`` index give the row the
+    tuple lookup gave, or raise its error, on every context."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tables(), st.data())
+    def test_same_row_as_tuple_lookup(self, model, data):
+        vocab, k = model.vocab_size, model.context_order
+        width = k + data.draw(st.integers(0, 2))  # a wider window of a pair
+        radix, span = vocab + 1, (vocab + 1) ** width
+        for n in range(2 * k + 3):
+            # BOS, other negatives and tokens past the vocab included.
+            ctx = data.draw(st.lists(st.integers(-3, vocab + 2),
+                                     min_size=n, max_size=n))
+            want = outcome(reference_row, model, ctx)
+            assert_same_outcome(outcome(model.next_distribution, ctx), want)
+            if all(BOS <= t < vocab for t in ctx):
+                index = 0
+                for t in ctx:
+                    index = (index * radix + t + 1) % span
+                assert index == context_index(ctx, n, vocab, width)
+                assert_same_outcome(outcome(model.row, index), want)
+
+    def test_out_of_vocab_token_gets_default_row(self):
+        model = train_ngram([0, 1, 2, 0, 2, 1], order=3, k_add=0.5, vocab_size=3)
+        assert model.next_distribution([0, 4]) is model.default
+        assert model.next_distribution([-2, 1]) is model.default
+
+    def test_table_key_out_of_vocab_rejected(self):
+        row = normalize([1.0, 1.0])
+        with pytest.raises(ValueError, match=r"invalid context \(0, 2\)"):
+            TabularModel(2, 2, {(0, 2): row}, row)
 
 
 class TestTabularFromSpec:
@@ -354,7 +451,7 @@ class TestPinnedTemperedRows:
         for name, base in self._bases().items():
             contexts = list(base.table)
             if base.default is not None:
-                assert effective_context([], base.context_order) not in base.table
+                assert (BOS,) * base.context_order not in base.table
                 contexts.append([])
             h = hashlib.sha256()
             for tau in (1e-3, 2.0):
