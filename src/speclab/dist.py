@@ -15,6 +15,9 @@ NONNEG_TOL = 1e-12
 
 Rng = np.random.Generator
 
+# Most uniforms a draw stream fetches with one ``rng.random(n)`` call.
+BLOCK = 64
+
 
 def make_rng(seed) -> Rng:
     """Seeded PCG64 generator. Same seed and call sequence, same draws.
@@ -23,6 +26,39 @@ def make_rng(seed) -> Rng:
     independent sub-streams (e.g. ``make_rng([seed, run_index])``).
     """
     return np.random.default_rng(seed)
+
+
+class Uniforms:
+    """The values of successive ``rng.random()`` calls, fetched in blocks.
+
+    ``random()`` hands out the fetched values in order and falls back to
+    ``rng.random()`` when none is left. ``fill(bound)`` fetches ahead but
+    never leaves more than ``bound`` values unused: a caller that will make
+    at least ``bound`` more draws leaves ``rng`` exactly where per-call draws
+    would, so a generator shared with later callers sees no difference.
+    """
+
+    __slots__ = ("rng", "_ahead")
+
+    def __init__(self, rng: Rng):
+        self.rng = rng
+        self._ahead: list[float] = []  # unused values, the next one last
+
+    def random(self) -> float:
+        ahead = self._ahead
+        return ahead.pop() if ahead else self.rng.random()
+
+    def fill(self, bound: int) -> None:
+        """Top up to ``min(BLOCK, bound)`` unused values once fewer than
+        half a block are left."""
+        ahead = self._ahead
+        if len(ahead) < BLOCK // 2:
+            n = min(BLOCK, bound) - len(ahead)
+            if n > 0:
+                block = self.rng.random(n).tolist()
+                block.reverse()
+                block += ahead
+                self._ahead = block
 
 
 class Distribution:

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .dist import Distribution, Rng, argmax, entropy, residual, sample
+from .dist import (BLOCK, Distribution, Rng, Uniforms, argmax, entropy,
+                   residual, sample)
 from .models import AutoregressiveModel, context_index
 from .policies import LengthPolicy
 
@@ -115,6 +116,13 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     The loop carries the ``context_index`` of the output's trailing
     ``max(context_order)`` tokens and steps it per drafted or emitted token,
     so the cost of a model call does not grow with the output length.
+
+    Sampling takes one ``rng.random()`` per draft sample, accept test,
+    correction and bonus, so every emitted token costs at least one draw. A
+    sampling decode with at least ``BLOCK`` tokens to go therefore draws
+    through a ``Uniforms`` stream that fetches at most the tokens still to
+    go at the start of each round: the draws, and where ``rng`` ends, are
+    those of per-call draws.
     """
     check_pair(target, draft)
     _check_prompt(prompt, max_len, target.vocab_size)
@@ -127,9 +135,14 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     out = list(prompt)
     result = DecodeResult(output_tokens=out, prompt_len=len(prompt))
     index = context_index(out, len(out), target.vocab_size, width)
+    stream = None
+    if not greedy and max_len - len(out) >= BLOCK:
+        rng = stream = Uniforms(rng)
 
     while len(out) < max_len:
         start_len = len(out)
+        if stream is not None:
+            stream.fill(max_len - start_len)
         room = max_len - start_len - 1  # proposals that can fit before the horizon
 
         proposed: list[int] = []

@@ -132,6 +132,7 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
     width = max(target.context_order, draft.context_order)
     radix = target.vocab_size + 1
     span = radix ** width
+    kls: dict[int, float] = {}  # KL(q||p) by the context index naming both rows
     for result in results:
         out = result.output_tokens
         for rec in result.rounds:
@@ -146,9 +147,11 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
                 pos = reject_idx - j
                 if pos < 0:
                     break
-                q = draft.row(indices[pos])
-                p = target.row(indices[pos])
-                sums[j] += kl_divergence(q, p)
+                i = indices[pos]
+                kl = kls.get(i)
+                if kl is None:
+                    kl = kls[i] = kl_divergence(draft.row(i), target.row(i))
+                sums[j] += kl
                 counts[j] += 1
     with np.errstate(invalid="ignore"):
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)

@@ -165,8 +165,8 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     default row when one is declared.
     """
     try:
-        vocab_size = int(doc["vocab_size"])
-        context_order = int(doc["context_order"])
+        vocab_size = _check_int(doc["vocab_size"], "vocab_size")
+        context_order = _check_int(doc["context_order"], "context_order")
         rows = doc["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid model spec: missing field {exc}") from exc
@@ -175,19 +175,22 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     weights = []
     for i, row in enumerate(rows):
         try:
-            context = tuple(int(t) for t in row["context"])
+            context = row["context"]
             probs = row["probs"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid model spec: rows[{i}]: {exc}") from exc
+        _check_list(context, f"rows[{i}].context")
         _check_list(probs, f"rows[{i}].probs")
         if len(context) != context_order:
             raise ValueError(f"row arity mismatch: rows[{i}] context has {len(context)} tokens")
         if len(probs) != vocab_size:
             raise ValueError(f"row arity mismatch: rows[{i}] has {len(probs)} probs")
-        for t in context:
+        for k, t in enumerate(context):
+            if type(t) is not int:
+                _check_int(t, f"rows[{i}].context[{k}]")
             if t != BOS and not 0 <= t < vocab_size:
                 raise ValueError(f"invalid model spec: rows[{i}] context token {t} out of vocab")
-        contexts.append(context)
+        contexts.append(tuple(context))
         weights.append(probs)
     table = dict(zip(contexts, normalize_rows(weights)))
     default = None
@@ -203,6 +206,14 @@ def _check_list(value, path: str) -> None:
     if not isinstance(value, list):
         raise ValueError(
             f"invalid model spec: {path}: expected a list, got {type(value).__name__}")
+
+
+def _check_int(value, path: str) -> int:
+    """``value`` if it is a JSON integer: not a bool, float or string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(
+            f"invalid model spec: {path}: expected an integer, got {type(value).__name__}")
+    return value
 
 
 def load_corpus(path) -> list[int]:

@@ -160,24 +160,43 @@ class TestMalformedConfig:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
-    @pytest.mark.parametrize("path, shape", [
-        ("target_spec", {"rows": 7}),
-        ("target_spec", {"probs": 0.5}),
-        ("draft_spec", {"default": 5}),
-    ], ids=["int-rows", "float-probs", "int-default"])
+    @pytest.mark.parametrize("path, keys, value, message", [
+        ("target_spec", ["rows"], 7, "rows: expected a list, got int"),
+        ("target_spec", ["rows", 1, "probs"], 0.5,
+         "rows[1].probs: expected a list, got float"),
+        ("draft_spec", ["default"], 5, "default: expected a list, got int"),
+        ("target_spec", ["vocab_size"], 3.9,
+         "vocab_size: expected an integer, got float"),
+        ("target_spec", ["vocab_size"], "3",
+         "vocab_size: expected an integer, got str"),
+        ("target_spec", ["vocab_size"], True,
+         "vocab_size: expected an integer, got bool"),
+        ("target_spec", ["context_order"], 1.5,
+         "context_order: expected an integer, got float"),
+        ("target_spec", ["rows", 1, "context", 0], 0.7,
+         "rows[1].context[0]: expected an integer, got float"),
+        ("target_spec", ["rows", 1, "context", 0], False,
+         "rows[1].context[0]: expected an integer, got bool"),
+        ("target_spec", ["rows", 1, "context"], 0,
+         "rows[1].context: expected a list, got int"),
+    ], ids=["int-rows", "float-probs", "int-default", "float-vocab",
+            "string-vocab", "bool-vocab", "float-order", "float-context-token",
+            "bool-context-token", "int-context"])
     def test_malformed_model_file(self, tmp_path, target_spec, capsys, path,
-                                  shape):
+                                  keys, value, message):
         with open(target_spec) as f:
             doc = json.load(f)
-        if "probs" in shape:
-            doc["rows"][1]["probs"] = shape["probs"]
-        else:
-            doc.update(shape)
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
         model = write_config(tmp_path, "model.json", doc)
         cfg = decode_config(tmp_path, **{"target_spec": target_spec, path: model})
         assert main(["decode", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
+        assert message in err
 
     def test_non_integer_token_in_prompts_file(self, tmp_path, target_spec,
                                                capsys):

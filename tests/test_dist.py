@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from speclab.dist import (Distribution, argmax, cross_entropy,
-                          distribution_rows, entropy, kl_divergence, make_rng,
-                          normalize, normalize_rows, residual, sample, tvd)
+from speclab.dist import (BLOCK, Distribution, Uniforms, argmax,
+                          cross_entropy, distribution_rows, entropy,
+                          kl_divergence, make_rng, normalize, normalize_rows,
+                          residual, sample, tvd)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -240,6 +241,69 @@ class TestSample:
             for x in range(v):
                 band = 4.0 * math.sqrt(d.probs[x] * (1 - d.probs[x]) / n)
                 assert abs(counts[x] / n - d.probs[x]) <= band + 1e-12
+
+
+class TestUniforms:
+    """A draw stream hands out what successive ``rng.random()`` calls would,
+    and leaves the generator where they would."""
+
+    @staticmethod
+    def state(rng):
+        return repr(rng.bit_generator.state)
+
+    def test_rounds_filled_with_the_draws_left(self):
+        # Per "round": fill with every draw still to come, then draw. Rounds
+        # drawing more than is fetched fall back to per-call draws; the last
+        # rounds fetch fewer than a block, and fill(0) fetches nothing.
+        rounds = [1, 5, 40, 3, 1, 90, 2, 30, 31, 7, 1, 0, 2]
+        rng, ref = make_rng(8), make_rng(8)
+        stream = Uniforms(rng)
+        left = sum(rounds)
+        for n in rounds:
+            stream.fill(left)
+            got = [stream.random() for _ in range(n)]
+            assert got == [ref.random() for _ in range(n)]
+            left -= n
+        assert left == 0
+        assert self.state(rng) == self.state(ref)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, BLOCK // 2, BLOCK - 1, BLOCK,
+                                       BLOCK + 1, 3 * BLOCK])
+    def test_fill_fetches_at_most_bound(self, bound):
+        rng, ref = make_rng(9), make_rng(9)
+        stream = Uniforms(rng)
+        stream.fill(bound)
+        assert [stream.random() for _ in range(bound)] == [
+            ref.random() for _ in range(bound)]
+        assert self.state(rng) == self.state(ref)
+
+    def test_new_block_goes_after_the_unused_values(self):
+        rng, ref = make_rng(10), make_rng(10)
+        stream = Uniforms(rng)
+        stream.fill(BLOCK)
+        draws = [stream.random() for _ in range(BLOCK - 3)]
+        stream.fill(BLOCK)  # three left: fetch BLOCK - 3 behind them
+        draws += [stream.random() for _ in range(BLOCK + 10)]
+        assert draws == [ref.random() for _ in range(2 * BLOCK + 7)]
+        assert self.state(rng) == self.state(ref)
+
+    def test_every_buffered_value_before_a_fallback(self):
+        rng, ref = make_rng(11), make_rng(11)
+        stream = Uniforms(rng)
+        for bound in (1, 2, 3):
+            stream.fill(bound)
+            got = [stream.random() for _ in range(bound + 2)]
+            assert got == [ref.random() for _ in range(bound + 2)]
+        assert self.state(rng) == self.state(ref)
+
+    def test_sample_through_a_stream(self):
+        d = Distribution([0.2, 0.5, 0.3])
+        rng, ref = make_rng(12), make_rng(12)
+        stream = Uniforms(rng)
+        stream.fill(100)
+        assert [sample(d, stream) for _ in range(100)] == [
+            sample(d, ref) for _ in range(100)]
+        assert self.state(rng) == self.state(ref)
 
 
 class TestResidual:

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclab.bounds import acceptance_rate
-from speclab.dist import Distribution, argmax, entropy, make_rng, residual, sample
+from speclab.dist import (BLOCK, Distribution, argmax, entropy, make_rng,
+                          normalize, residual, sample)
 from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             autoregressive_decode, correct_greedy,
                             correct_sampling, speculative_decode,
                             verify_greedy, verify_sampling)
-from speclab.models import (AutoregressiveModel, random_tabular,
-                            tabular_from_spec, temper)
+from speclab.models import (AutoregressiveModel, TabularModel, context_space,
+                            random_tabular, tabular_from_spec, temper)
 from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                               SvipConfig, SvipPolicy)
 
@@ -407,3 +410,79 @@ class TestTrailingContext:
         assert set(indices) == {0}  # span 4 ** 0: one context
         assert res == reference_decode(target, draft, [0, 1], 1000,
                                        ConstantPolicy(7), SAMPLING, make_rng(54))
+
+
+def generator(kind, seed):
+    """A fresh generator of the given kind; "pcg64-half" holds a buffered
+    32-bit half-word, which ``random()`` must leave alone."""
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "pcg64-half":
+        rng.integers(0, 5, dtype=np.int32)
+    return rng
+
+
+def assert_same_draws(target, draft, policy_factory, horizons, kind, seed):
+    """Decodes in sequence on one shared generator equal ``reference_decode``
+    on another, per-call generator, and leave the two in the same state."""
+    rng, ref_rng = generator(kind, seed), generator(kind, seed)
+    prompt = [0, 1]
+    for horizon in horizons:
+        max_len = len(prompt) + horizon
+        res = speculative_decode(target, draft, prompt, max_len,
+                                 policy_factory(), SAMPLING, rng)
+        ref = reference_decode(target, draft, prompt, max_len,
+                               policy_factory(), SAMPLING, ref_rng)
+        assert res == ref
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+class TestDrawStream:
+    """Sampling decodes with ``BLOCK`` or more tokens to go fetch uniforms in
+    blocks; the tokens, the records and where the generator ends are those of
+    one ``rng.random()`` call per draw."""
+
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937", "pcg64-half"])
+    @pytest.mark.parametrize("horizon", [3, BLOCK - 1, BLOCK, BLOCK + 1, 200, 1200])
+    @pytest.mark.parametrize("policy_factory", [
+        lambda: ConstantPolicy(5),
+        lambda: HeuristicPolicy(5, DEFAULT_CAP),
+        lambda: SvipPolicy(SvipConfig(h=0.6)),
+    ], ids=["constant", "heuristic", "svip"])
+    def test_same_as_per_call_draws(self, policy_factory, horizon, kind):
+        target = random_tabular(4, 2, make_rng(71), spiky_fraction=0.3)
+        draft = temper(target, 2.0, 0.1)
+        assert_same_draws(target, draft, policy_factory, [horizon] * 3, kind, 72)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_pairs(self, data):
+        vocab = data.draw(st.integers(2, 5), label="vocab")
+        order = data.draw(st.integers(0, 2), label="order")
+        gap = data.draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0]), label="gap")
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        keys = list(context_space(vocab, order))
+
+        def row():  # zero-mass entries, at least one positive
+            w = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.6)
+            w[rng.integers(vocab)] += 0.5
+            return normalize(w)
+
+        rows = {k: row() for k in keys}
+        target = TabularModel(vocab, order, rows)
+        # gap 0 drafts with the target itself, 1e-6 with a near-identical
+        # table, 1 with a table drawn apart from the target.
+        draft = target if gap == 0.0 else TabularModel(vocab, order, {
+            k: normalize((1.0 - gap) * d.probs + gap * row().probs)
+            for k, d in rows.items()})
+        policy_factory = data.draw(st.sampled_from([
+            lambda: ConstantPolicy(3),
+            lambda: HeuristicPolicy(2, DEFAULT_CAP),
+            lambda: SvipPolicy(SvipConfig(h=0.5)),
+        ]), label="policy")
+        horizons = data.draw(st.lists(st.integers(BLOCK - 4, 2 * BLOCK + 8),
+                                      min_size=1, max_size=3), label="horizons")
+        assert_same_draws(target, draft, policy_factory, horizons,
+                          data.draw(st.sampled_from(["pcg64", "mt19937"]), label="kind"),
+                          data.draw(st.integers(0, 1000), label="rng seed"))

@@ -1,8 +1,11 @@
 """Byte-identical CLI outputs: the sha256 of every file that the shipped
-experiment, oracle-stats and bounds-eval configs and one greedy decode write.
+experiment, oracle-stats and bounds-eval configs, one greedy decode and one
+sampling decode write.
 
 The digests were recorded while models were still looked up by context tuple,
-before the engine carried a context index. A change that means to alter
+before the engine carried a context index. The sampling decode's were
+recorded while each uniform was drawn by its own ``rng.random()`` call; its
+299-token decodes now fetch them in blocks. A change that means to alter
 outputs must say why and record them again. ``equivalence.json`` is left out:
 acceptance criterion 5 already runs its 200k decodes. The files hold floats
 from numpy's cumsum, log and exp, so a numpy build with other elementary
@@ -25,8 +28,14 @@ GREEDY_DECODE = {
     "mode": "greedy", "policy": {"kind": "heuristic", "init": 5, "cap": 40},
     "horizon": 300, "prompts": [[1], [2]], "seeds": [5],
 }
+SAMPLING_DECODE = {
+    "target_spec": "configs/segmented_target.json",
+    "draft_spec": {"temper": {"tau": 2.0, "eps": 0.2}},
+    "mode": "sampling", "policy": {"kind": "svip", "h": 0.85},
+    "horizon": 300, "prompts": [[1], [2]], "seeds": [5, 6],
+}
 
-# name -> (command, config, --format, {file: sha256})
+# name -> (command, config file or decode config, --format, {file: sha256})
 RUNS = {
     "experiment_constant5": ("experiment", "configs/experiment_constant5.json", "csv", {
         "report.json": "e75606a7d8bab0862feec575241ca36e3ccb958b8ff539a8fc451fb908e9b706",
@@ -50,10 +59,17 @@ RUNS = {
     "bounds_eval_json": ("bounds-eval", "configs/bounds_eval.json", "json", {
         "bounds.json": "19c87ec47ef7774703637d3996d56d4d8e792f6b0480f964dfc5e7cfdf0822bc",
     }),
-    "decode_greedy_heuristic": ("decode", None, "csv", {
+    "decode_greedy_heuristic": ("decode", GREEDY_DECODE, "csv", {
         "rounds.csv": "591f68d0339e34ca35d4dd35a445c75c114d007a0e521f77b5ef46df57745ee4",
         "tokens_seed5_prompt0.txt": "b4e5ca12273e35d777771ad88d642d659fa9d52bdd3e742978145a74b28682f3",
         "tokens_seed5_prompt1.txt": "a7e98162dc815f86332a90628aed46670b8e9ae1a1663be8dcfbd5ed5b97ac7d",
+    }),
+    "decode_sampling_svip": ("decode", SAMPLING_DECODE, "csv", {
+        "rounds.csv": "d3e309ebcbabe9826ea49b4c4b70f93b3083ccdcf006596c85393632c8dc775f",
+        "tokens_seed5_prompt0.txt": "05a5aef110b5ccc680566a3964d50452a2d56ea3cf47e969ab6c41d4f7e4a872",
+        "tokens_seed5_prompt1.txt": "5b4904db5b2e3bb0c76db96aea288f3080bab4cb24da1756bc16ba70c7c084fe",
+        "tokens_seed6_prompt0.txt": "75c5cb2a27a0956bd4bfd2773ae17d57d9af36704e59ea38559820c78edacfb4",
+        "tokens_seed6_prompt1.txt": "1f456fbf81089565531334c62e77b939082159d37039fb6cec6c33bd51b689d9",
     }),
 }
 
@@ -61,9 +77,10 @@ RUNS = {
 @pytest.mark.parametrize("name", list(RUNS))
 def test_outputs_match_recorded_digests(tmp_path, monkeypatch, name):
     command, config, fmt, digests = RUNS[name]
-    if config is None:
-        config = tmp_path / "decode.json"
-        config.write_text(json.dumps(GREEDY_DECODE))
+    if isinstance(config, dict):
+        path = tmp_path / "decode.json"
+        path.write_text(json.dumps(config))
+        config = path
     monkeypatch.chdir(ROOT)  # configs name the model file relative to the root
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out),
