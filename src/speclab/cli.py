@@ -107,6 +107,18 @@ def _get_count(cfg: dict, path: str, **kwargs) -> int:
     return value
 
 
+def _get_seed(cfg: dict, path: str, override: int | None) -> int:
+    """``--seed-override`` when given, else the integer field ``path``; the
+    seed must be >= 0."""
+    if override is not None:
+        seed, path = override, "--seed-override"
+    else:
+        seed = _get(cfg, path, expect=int)
+    if seed < 0:
+        raise ValidationError(f"{path}: must be >= 0")
+    return seed
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -216,7 +228,7 @@ def parse_prompts(cfg: dict, vocab_size: int) -> list[list[int]]:
 
 def parse_seeds(cfg: dict, override: int | None) -> list[int]:
     if override is not None:
-        return [override]
+        return [_get_seed(cfg, "seeds", override)]
     seeds = _get(cfg, "seeds", expect=list)
     if not seeds:
         raise ValidationError("seeds: must be non-empty")
@@ -303,8 +315,7 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     _get(cfg, "pairs", expect=dict)
     count = _get_count(cfg, "pairs.count")
     vocab = _get(cfg, "pairs.vocab", expect=int)
-    seed = args.seed_override if args.seed_override is not None else \
-        _get(cfg, "pairs.seed", expect=int)
+    seed = _get_seed(cfg, "pairs.seed", args.seed_override)
     kind = _get(cfg, "pairs.kind", expect=str, required=False,
                 default="independent")
     tau = float(_get(cfg, "pairs.tau", expect=(int, float), required=False,
@@ -316,8 +327,12 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
         raise ValidationError("pairs.vocab: must be >= 2")
     if kind not in ("independent", "tempered"):
         raise ValidationError(f"pairs.kind: unknown kind {kind!r}")
-    if c <= 0:
-        raise ValidationError("c: must be positive")
+    if not 0 < c < math.inf:
+        raise ValidationError("c: must be finite and > 0")
+    if not 0 < tau < math.inf:
+        raise ValidationError("pairs.tau: must be finite and > 0")
+    if not 0 <= eps < 1:
+        raise ValidationError("pairs.eps: must be in [0, 1)")
 
     rng = make_rng(seed)
     reports = []
@@ -352,12 +367,13 @@ def cmd_equivalence(cfg: dict, args: argparse.Namespace) -> int:
             raise ValidationError(f"prompt: token {t!r} out of vocab")
     if not prompt:
         raise ValidationError("prompt: must be non-empty")
-    horizon = _get(cfg, "horizon", expect=int)
+    horizon = _get_count(cfg, "horizon")
     n_samples = _get(cfg, "n_samples", expect=int)
-    seed = args.seed_override if args.seed_override is not None else \
-        _get(cfg, "seed", expect=int)
+    seed = _get_seed(cfg, "seed", args.seed_override)
     threshold = float(_get(cfg, "threshold", expect=(int, float),
                            required=False, default=0.01))
+    if not 0 <= threshold < math.inf:
+        raise ValidationError("threshold: must be finite and >= 0")
     if target.vocab_size ** horizon > 10_000:
         raise ValidationError(
             f"horizon: state space too large ({target.vocab_size}^{horizon} "
@@ -383,8 +399,7 @@ def cmd_oracle_stats(cfg: dict, args: argparse.Namespace) -> int:
     prompts = parse_prompts(cfg, target.vocab_size)
     cap = _get_count(cfg, "cap", required=False, default=DEFAULT_CAP)
     n_runs = _get_count(cfg, "n_runs", required=False, default=1)
-    seed = args.seed_override if args.seed_override is not None else \
-        _get(cfg, "seed", expect=int)
+    seed = _get_seed(cfg, "seed", args.seed_override)
 
     mean, variance, histogram = oracle_length_stats(
         target, draft, prompts, mode, make_rng(seed), cap, n_runs)

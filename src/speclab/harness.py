@@ -177,6 +177,8 @@ class EquivalenceResult:
 def exact_sequence_probs(target: AutoregressiveModel, prompt: Sequence[int],
                          horizon: int) -> dict[tuple[int, ...], float]:
     """Chain-rule probability of every length-``horizon`` continuation."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     probs: dict[tuple[int, ...], float] = {}
     stack = [((), 1.0)]
     prompt = list(prompt)

@@ -81,9 +81,10 @@ class AutoregressiveModel:
 class TabularModel(AutoregressiveModel):
     """Explicit lookup table from length-k contexts to next-token rows.
 
-    ``table`` maps context tuples to rows; ``rows`` maps the same rows by
-    context index, built once here. A context without a row gets
-    ``default``, or raises when there is none.
+    ``table`` maps context tuples to rows; the model keeps them in one map,
+    ``rows``, keyed by context index and built once here in ``table``'s
+    order. A context without a row gets ``default``, or raises when there is
+    none.
     """
 
     def __init__(self, vocab_size: int, context_order: int,
@@ -99,10 +100,9 @@ class TabularModel(AutoregressiveModel):
             if len(row) != vocab_size:
                 raise ValueError(f"row arity mismatch: {len(row)} probs for context {key!r}")
         radix = vocab_size + 1
-        span = radix ** context_order
         # context_index of every key at once; Python ints once int64 would overflow.
         keys = np.fromiter(chain.from_iterable(table), count=len(table) * context_order,
-                           dtype=np.int64 if span < 2 ** 63 else object)
+                           dtype=np.int64 if radix ** context_order < 2 ** 63 else object)
         if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
             bad = next(key for key in table if not all(BOS <= t < vocab_size for t in key))
             raise ValueError(f"invalid context {bad!r}: token out of vocab")
@@ -113,11 +113,17 @@ class TabularModel(AutoregressiveModel):
             raise ValueError("row arity mismatch: default row")
         if default is None:
             _check_complete(table, vocab_size, context_order)
+        self._set(vocab_size, context_order, dict(zip(index.tolist(), table.values())),
+                  default)
+
+    def _set(self, vocab_size: int, context_order: int,
+             rows: dict[int, Distribution], default: Distribution | None) -> None:
+        # Also builds tempered drafts: one assignment order keeps every model
+        # on one shared attribute layout, which keeps ``row`` fast.
         self.vocab_size = vocab_size
         self.context_order = context_order
-        self.table = dict(table)
-        self.rows = dict(zip(index.tolist(), table.values()))
-        self.span = span
+        self.rows = rows
+        self.span = (vocab_size + 1) ** context_order
         self.default = default
 
     def row(self, index: int) -> Distribution:
@@ -193,6 +199,12 @@ def tabular_from_spec(doc: dict) -> TabularModel:
         contexts.append(tuple(context))
         weights.append(probs)
     table = dict(zip(contexts, normalize_rows(weights)))
+    if len(table) < len(contexts):
+        first: dict[tuple[int, ...], int] = {}
+        for i, context in enumerate(contexts):
+            if first.setdefault(context, i) != i:
+                raise ValueError(f"invalid model spec: rows[{i}].context: "
+                                 f"duplicates rows[{first[context]}]")
     default = None
     if doc.get("default") is not None:
         _check_list(doc["default"], "default")
@@ -227,8 +239,9 @@ def tabular_to_spec(model: TabularModel) -> dict:
     doc = {
         "vocab_size": model.vocab_size,
         "context_order": model.context_order,
-        "rows": [{"context": list(ctx), "probs": row.probs.tolist()}
-                 for ctx, row in sorted(model.table.items())],
+        # Index order is context order: token t is digit t + 1, BOS digit 0.
+        "rows": [{"context": list(model._context_of(index)), "probs": row.probs.tolist()}
+                 for index, row in sorted(model.rows.items())],
     }
     if model.default is not None:
         doc["default"] = model.default.probs.tolist()
@@ -275,7 +288,7 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
         raise ValueError("invalid temperature: tau must be positive")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
-    rows = [d.probs for d in base.table.values()]
+    rows = [d.probs for d in base.rows.values()]
     if base.default is not None:
         rows.append(base.default.probs)
     p = np.array(rows)
@@ -289,8 +302,10 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
         w = (1.0 - eps) * w + eps / base.vocab_size
     dists = distribution_rows(w)
     default = dists.pop() if base.default is not None else None
-    return TabularModel(base.vocab_size, base.context_order,
-                        dict(zip(base.table, dists)), default)
+    # The base's keys and its default row: nothing the constructor checks is new.
+    draft = TabularModel.__new__(TabularModel)
+    draft._set(base.vocab_size, base.context_order, dict(zip(base.rows, dists)), default)
+    return draft
 
 
 def segmented_chain_model(vocab_size: int, segment_len: int, rng: Rng, *,

@@ -179,9 +179,11 @@ class TestMalformedConfig:
          "rows[1].context[0]: expected an integer, got bool"),
         ("target_spec", ["rows", 1, "context"], 0,
          "rows[1].context: expected a list, got int"),
+        ("target_spec", ["rows", 1, "context", 0], 0,
+         "rows[1].context: duplicates rows[0]"),
     ], ids=["int-rows", "float-probs", "int-default", "float-vocab",
             "string-vocab", "bool-vocab", "float-order", "float-context-token",
-            "bool-context-token", "int-context"])
+            "bool-context-token", "int-context", "duplicate-context"])
     def test_malformed_model_file(self, tmp_path, target_spec, capsys, path,
                                   keys, value, message):
         with open(target_spec) as f:
@@ -197,6 +199,12 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}:")
         assert message in err
+
+    def test_negative_seed_override(self, tmp_path, target_spec, capsys):
+        cfg = decode_config(tmp_path, target_spec)
+        assert main(["decode", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed-override", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --seed-override:")
 
     def test_non_integer_token_in_prompts_file(self, tmp_path, target_spec,
                                                capsys):
@@ -312,6 +320,22 @@ class TestBoundsEval:
             assert float(cells["pinsker"]) == 1.0
             assert float(cells["bh"]) == 1.0
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"c": float("nan")}, "c"),
+        ({"pairs": {"count": 5, "vocab": 6, "seed": 1, "kind": "tempered",
+                    "eps": float("nan")}}, "pairs.eps"),
+        ({"pairs": {"count": 5, "vocab": 6, "seed": 1, "kind": "tempered",
+                    "eps": 2}}, "pairs.eps"),
+        ({"pairs": {"count": 5, "vocab": 6, "seed": 1, "kind": "tempered",
+                    "tau": 0}}, "pairs.tau"),
+        ({"pairs": {"count": 5, "vocab": 6, "seed": -1}}, "pairs.seed"),
+    ], ids=["nan-c", "nan-eps", "eps-2", "tau-0", "negative-seed"])
+    def test_rejected_with_field_path(self, tmp_path, capsys, overrides, path):
+        cfg = self.bounds_config(tmp_path, **overrides)
+        assert main(["bounds-eval", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
     def test_json_format(self, tmp_path):
         cfg = self.bounds_config(tmp_path)
         out = tmp_path / "bj"
@@ -352,6 +376,19 @@ class TestEquivalenceCommand:
         assert rc == 1
         assert "state space too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"horizon": 0}, "horizon"),
+        ({"horizon": -1}, "horizon"),
+        ({"threshold": float("nan")}, "threshold"),
+        ({"seed": -1}, "seed"),
+    ], ids=["horizon-0", "negative-horizon", "nan-threshold", "negative-seed"])
+    def test_rejected_with_field_path(self, tmp_path, target_spec, capsys,
+                                      overrides, path):
+        cfg = self.equivalence_config(tmp_path, target_spec, **overrides)
+        assert main(["equivalence", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
     def test_failure_exit_code_consistent_with_verdict(self, tmp_path,
                                                        target_spec):
         # an absurdly tight threshold cannot be met by a finite sample
@@ -386,6 +423,12 @@ class TestOracleStats:
         doc = json.loads((out / "oracle_stats.json").read_text())
         assert sum(doc["histogram"]) == 40
         assert len(doc["histogram"]) == 11
+
+    def test_negative_seed_rejected(self, tmp_path, target_spec, capsys):
+        cfg = self.oracle_config(tmp_path, target_spec, seed=-1)
+        assert main(["oracle-stats", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed:")
 
     def test_csv_histogram(self, tmp_path, target_spec):
         cfg = self.oracle_config(tmp_path, target_spec)

@@ -270,6 +270,11 @@ class TestExactSequenceProbs:
         assert probs[(1, 1)] == pytest.approx(0.49, abs=1e-12)
         assert probs[(0, 1)] == pytest.approx(0.21, abs=1e-12)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            exact_sequence_probs(order0([0.3, 0.7]), [0], horizon)
+
 
 @pytest.fixture(scope="module")
 def pair():

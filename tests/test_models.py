@@ -27,30 +27,29 @@ class TestEffectiveContext:
 
     def test_truncates_to_order(self):
         model = random_tabular(9, 2, make_rng(3))
-        assert model.next_distribution([5, 6, 7, 8]) is model.table[(7, 8)]
+        assert model.next_distribution([5, 6, 7, 8]) is model.rows[context_index((7, 8), 2, 9, 2)]
         assert context_index([5, 6, 7, 8], 4, 9, 2) == 8 * 10 + 9
 
     def test_pads_short_context(self):
         model = random_tabular(4, 3, make_rng(4))
-        assert model.next_distribution([3]) is model.table[(BOS, BOS, 3)]
+        assert model.next_distribution([3]) is model.rows[context_index((BOS, BOS, 3), 3, 4, 3)]
         assert context_index([3], 1, 4, 3) == context_index([BOS, BOS, 3], 3, 4, 3) == 4
 
     def test_order_zero(self):
         model = random_tabular(3, 0, make_rng(5))
-        assert model.next_distribution([1, 2]) is model.table[()]
+        assert model.next_distribution([1, 2]) is model.rows[context_index((), 0, 3, 0)]
         assert context_index([1, 2], 2, 3, 0) == 0
 
 
-def reference_row(model, context):
-    """The lookup by context tuple that row indices replaced: the table row
-    of the BOS-padded last ``context_order`` tokens, else the default row,
-    else the incomplete-table error."""
-    k = model.context_order
+def reference_row(table, default, k, context):
+    """The lookup by context tuple that row indices replaced: the ``table``
+    row of the BOS-padded last ``k`` tokens, else the default row, else the
+    incomplete-table error."""
     key = tuple(context[-k:]) if k else ()
     key = (BOS,) * (k - len(key)) + key
-    row = model.table.get(key)
+    row = table.get(key)
     if row is None:
-        row = model.default
+        row = default
         if row is None:
             raise ValueError(f"incomplete table: no row for context {key!r}")
     return row
@@ -74,7 +73,8 @@ def assert_same_outcome(got, want):
 @st.composite
 def tables(draw):
     """Tables of order 0-3 over vocab 1-5, complete without a default row or
-    any subset of contexts with one; rows have zero-mass entries."""
+    any subset of contexts with one; rows have zero-mass entries. Draws the
+    model with the tuple-keyed table and default row it was built from."""
     vocab = draw(st.integers(1, 5))
     order = draw(st.integers(0, 3))
     keys = list(context_space(vocab, order))
@@ -90,7 +90,8 @@ def tables(draw):
         return normalize(w)
 
     table = {key: row() for key in keys}
-    return TabularModel(vocab, order, table, row() if with_default else None)
+    default = row() if with_default else None
+    return TabularModel(vocab, order, table, default), table, default
 
 
 class TestRowIndex:
@@ -99,7 +100,8 @@ class TestRowIndex:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(tables(), st.data())
-    def test_same_row_as_tuple_lookup(self, model, data):
+    def test_same_row_as_tuple_lookup(self, drawn, data):
+        model, table, default = drawn
         vocab, k = model.vocab_size, model.context_order
         width = k + data.draw(st.integers(0, 2))  # a wider window of a pair
         radix, span = vocab + 1, (vocab + 1) ** width
@@ -107,7 +109,7 @@ class TestRowIndex:
             # BOS, other negatives and tokens past the vocab included.
             ctx = data.draw(st.lists(st.integers(-3, vocab + 2),
                                      min_size=n, max_size=n))
-            want = outcome(reference_row, model, ctx)
+            want = outcome(reference_row, table, default, k, ctx)
             assert_same_outcome(outcome(model.next_distribution, ctx), want)
             if all(BOS <= t < vocab for t in ctx):
                 index = 0
@@ -289,15 +291,16 @@ class TestTemper:
                  for v in (6, 16, 40)]
         bases.append(train_ngram(corpus, 2, 0.01, 7))
         for base in bases:
-            rows = list(base.table.items())
+            rows = list(base.rows.items())
             if base.default is not None:
-                rows.append(((BOS,) * base.context_order, base.default))
+                assert 0 not in base.rows  # the all-BOS context has no row
+                rows.append((0, base.default))
             for tau in (1e-3, 0.7, 2.5):
                 for eps in (0.0, 0.1):
                     draft = temper(base, tau, eps)
-                    for ctx, row in rows:
+                    for index, row in rows:
                         want = temper_row(row.probs, tau, eps)
-                        got = draft.next_distribution(ctx).probs
+                        got = draft.row(index).probs
                         assert got.tobytes() == want.tobytes()
 
     def test_draft_is_a_table_saved_as_a_model_file(self):
@@ -305,7 +308,7 @@ class TestTemper:
                            vocab_size=4)
         draft = temper(base, tau=2.0, eps=0.1)
         assert isinstance(draft, TabularModel)
-        assert draft.table.keys() == base.table.keys()
+        assert list(draft.rows) == list(base.rows)
         clone = tabular_from_spec(json.loads(json.dumps(tabular_to_spec(draft))))
         for ctx in ([0], [1], [2], [3], []):
             np.testing.assert_allclose(clone.next_distribution(ctx).probs,
@@ -427,6 +430,23 @@ class TestPinnedOutputs:
         }
 
 
+    def test_saved_model_file_digests(self):
+        """``tabular_to_spec`` of tables whose rows are not stored in context
+        order: an n-gram model (first-seen order, with a default row) and
+        tempered drafts of the ``TestPinnedTemperedRows`` bases."""
+        corpus = [int(t) for t in make_rng(23).integers(0, 4, size=300)]
+        bases = TestPinnedTemperedRows._bases()
+        got = {
+            "ngram-spec": _digest(tabular_to_spec(train_ngram(corpus, 3, 0.5, 4))),
+            "tempered-spec": _digest([tabular_to_spec(temper(base, 2.0, 0.1))
+                                      for base in bases.values()]),
+        }
+        assert got == {
+            "ngram-spec": "f46f97df1d3e628bb98d4805d5bf6a4e4ba9d7a3ef4ecbac9785f079a3fe1d0e",
+            "tempered-spec": "80f2970c121e855725db545041be6a454f1b9a7a188e4094c6e479a905d6cdbc",
+        }
+
+
 class TestPinnedTemperedRows:
     """Exact digest of every tempered row: one per context of the base table,
     plus an unseen context for the base's default row. The rows come from
@@ -449,16 +469,16 @@ class TestPinnedTemperedRows:
     def test_tempered_row_digests(self):
         got = {}
         for name, base in self._bases().items():
-            contexts = list(base.table)
+            indices = list(base.rows)
             if base.default is not None:
-                assert (BOS,) * base.context_order not in base.table
-                contexts.append([])
+                assert 0 not in base.rows  # the all-BOS context has no row
+                indices.append(0)
             h = hashlib.sha256()
             for tau in (1e-3, 2.0):
                 for eps in (0.0, 0.1):
                     draft = temper(base, tau, eps)
-                    for ctx in contexts:
-                        h.update(draft.next_distribution(ctx).probs.tobytes())
+                    for index in indices:
+                        h.update(draft.row(index).probs.tobytes())
             got[name] = h.hexdigest()
         assert got == {
             "segmented": "41fb3841b4c4061ce6732c9fede1591e2944f381bfe853ce1e506f044291af2b",
