@@ -38,7 +38,10 @@ def pinsker_bound(p: Distribution, q: Distribution) -> float:
     May be negative; -inf when the supports mismatch (infinite KL). Equals 1
     iff q = p.
     """
-    kl = kl_divergence(q, p)
+    return _pinsker(kl_divergence(q, p))
+
+
+def _pinsker(kl: float) -> float:
     if kl == float("inf"):
         return float("-inf")
     return 1.0 - math.sqrt(0.5 * kl)
@@ -49,7 +52,10 @@ def bh_bound(p: Distribution, q: Distribution) -> float:
 
     Always in (0, 1] for finite KL; 0 in the infinite-KL limit.
     """
-    kl = kl_divergence(q, p)
+    return _bh(kl_divergence(q, p))
+
+
+def _bh(kl: float) -> float:
     if kl == float("inf"):
         return 0.0
     return 1.0 - math.sqrt(-math.expm1(-kl))
@@ -228,15 +234,19 @@ class BoundReport:
 
 
 def bound_report(p: Distribution, q: Distribution, c: float) -> BoundReport:
+    """The standalone functions' values for one pair, with the cross-entropy
+    computed once and KL(q||p) derived from it as ``kl_divergence`` does."""
     h_q = entropy(q)
     h_qp = cross_entropy(q, p)
     ratio = h_qp / h_q if h_q > 0.0 else float("nan")
+    kl = h_qp - h_q  # +inf when q puts mass where p has none
+    kl = kl if kl > 0.0 else 0.0
     return BoundReport(
         beta=acceptance_rate(p, q),
         tvd=tvd(p, q),
-        kl_q_p=kl_divergence(q, p),
-        pinsker=pinsker_bound(p, q),
-        bh=bh_bound(p, q),
+        kl_q_p=kl,
+        pinsker=_pinsker(kl),
+        bh=_bh(kl),
         approx=approx_bound(h_q, c),
         h_q=h_q,
         h_qp=h_qp,

@@ -12,7 +12,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dist import Distribution, Rng, argmax, kl_divergence, make_rng, sample
+from .dist import (Distribution, Rng, Uniforms, argmax, kl_divergence,
+                   make_rng, sample)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, check_pair,
                      speculative_decode, verify_greedy, verify_sampling)
 from .models import AutoregressiveModel, context_index
@@ -86,13 +87,26 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
 def oracle_length_stats(target: AutoregressiveModel, draft: AutoregressiveModel,
                         prompts: Sequence[Sequence[int]], mode: DecodeMode,
                         rng: Rng, cap: int, n_runs: int):
-    """Mean, variance, and histogram of oracle lengths over prompts x runs."""
+    """Mean, variance, and histogram of oracle lengths over prompts x runs.
+
+    Under sampling every run draws at least two values (a draft sample and
+    its accept coin), so the runs draw through one ``Uniforms`` stream
+    filled to at most twice the runs left: ``rng`` ends where per-call
+    draws leave it.
+    """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    greedy = mode is DecodeMode.GREEDY
+    draws = rng if greedy else Uniforms(rng)
+    runs_left = len(prompts) * n_runs
     lengths = []
     for prompt in prompts:
         for _ in range(n_runs):
-            lengths.append(oracle_draft_length(target, draft, prompt, mode, rng, cap))
+            if not greedy:
+                draws.fill(2 * runs_left)
+            lengths.append(oracle_draft_length(target, draft, prompt, mode,
+                                               draws, cap))
+            runs_left -= 1
     arr = np.asarray(lengths)
     histogram = np.bincount(arr, minlength=cap + 1)
     return float(arr.mean()), float(arr.var()), histogram
@@ -207,7 +221,10 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     TVD between the empirical and exact sequence distributions with a
     pass/fail verdict at ``threshold``.
     """
-    if target.vocab_size ** horizon > 10_000:
+    # Every vocab of 2 or more passes 10_000 by exponent 14 (2 ** 14 = 16384)
+    # and 0 or 1 never does, so the capped power gives the same verdict
+    # without building a huge integer.
+    if target.vocab_size ** min(horizon, 14) > 10_000:
         raise ValueError(
             f"state space too large: {target.vocab_size}^{horizon} sequences")
     if n_samples < 10_000:
@@ -287,10 +304,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     The per-round oracle length is re-simulated from the round-start context
     with a forked deterministic rng stream, so reports are reproducible.
+    Nothing else reads a round's oracle generator, so its stream fetches the
+    most draws the oracle can make (two per token up to ``oracle_cap``,
+    ``BLOCK`` at most) in one block; a greedy oracle draws nothing and gets
+    no generator.
     """
     results: list[DecodeResult] = []
     deltas: list[float] = []
     width = max(config.target.context_order, config.draft.context_order)
+    greedy = config.mode is DecodeMode.GREEDY
+    oracle_rng = None
     for seed in config.seeds:
         for pi, prompt in enumerate(config.prompts):
             rng = make_rng((seed, pi))
@@ -302,7 +325,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             for rec in result.rounds:
                 if not rec.proposed_tokens:
                     continue
-                oracle_rng = make_rng((seed, pi, rec.round_index, _ORACLE_SALT))
+                if not greedy:
+                    oracle_rng = Uniforms(
+                        make_rng((seed, pi, rec.round_index, _ORACLE_SALT)))
+                    oracle_rng.fill(2 * config.oracle_cap)
                 oracle = oracle_draft_length(
                     config.target, config.draft,
                     out[max(rec.start_len - width, 0):rec.start_len],

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from speclab.bounds import (acceptance_rate, approx_bound, bh_bound,
-                            bound_report, fit_gamma_ratio,
+from speclab.bounds import (BoundReport, acceptance_rate, approx_bound,
+                            bh_bound, bound_report, fit_gamma_ratio,
                             gamma_validity_prob, gaussian_validity_prob,
                             lower_incomplete_gamma, pinsker_bound,
                             regularized_lower_incomplete_gamma, sample_pair,
                             validity_condition)
-from speclab.dist import Distribution, make_rng
+from speclab.dist import (Distribution, cross_entropy, entropy, kl_divergence,
+                          make_rng, tvd)
 
 KL_1 = 0.3680642071684971  # direct sum for q=[.9,.1], p=[.5,.5]
 
@@ -239,3 +240,30 @@ class TestBoundReport:
         rep = bound_report(p, q, 0.18)
         assert math.isnan(rep.gamma_ratio)
         assert rep.approx == 1.0
+
+    def test_equals_standalone_functions(self):
+        rng = make_rng(21)
+        pairs = [sample_pair(int(rng.integers(2, 17)), rng, kind=kind)
+                 for kind in ("independent", "tempered") for _ in range(100)]
+        pairs += [
+            # KL(q||p) infinite; then the same pair the other way round
+            (Distribution([0.5, 0.5, 0.0]), Distribution([0.2, 0.3, 0.5])),
+            (Distribution([0.2, 0.3, 0.5]), Distribution([0.5, 0.5, 0.0])),
+            # h_q = 0: with p = q (H(q,p) = -0.0) and with p != q
+            (Distribution([0.0, 1.0, 0.0]), Distribution([0.0, 1.0, 0.0])),
+            (Distribution([0.3, 0.7, 0.0]), Distribution([0.0, 1.0, 0.0])),
+        ]
+        c = 0.18
+        for p, q in pairs:
+            h_q, h_qp = entropy(q), cross_entropy(q, p)
+            expected = BoundReport(
+                beta=acceptance_rate(p, q), tvd=tvd(p, q),
+                kl_q_p=kl_divergence(q, p), pinsker=pinsker_bound(p, q),
+                bh=bh_bound(p, q), approx=approx_bound(h_q, c), h_q=h_q,
+                h_qp=h_qp,
+                gamma_ratio=h_qp / h_q if h_q > 0.0 else float("nan"))
+            rep = bound_report(p, q, c)
+            for name in BoundReport.__dataclass_fields__:
+                # repr tells -0.0 from 0.0 and matches nan with nan
+                got, want = getattr(rep, name), getattr(expected, name)
+                assert repr(got) == repr(want), name

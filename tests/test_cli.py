@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -375,6 +376,17 @@ class TestEquivalenceCommand:
                    str(tmp_path / "o")])
         assert rc == 1
         assert "state space too large" in capsys.readouterr().err
+
+    def test_huge_horizon_rejected_at_once(self, tmp_path, target_spec,
+                                           capsys):
+        cfg = self.equivalence_config(tmp_path, target_spec,
+                                      horizon=1_000_000_000)
+        start = time.perf_counter()
+        rc = main(["equivalence", "--config", cfg, "--out",
+                   str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: horizon:")
 
     @pytest.mark.parametrize("overrides, path", [
         ({"horizon": 0}, "horizon"),

@@ -243,6 +243,31 @@ class TestSample:
                 assert abs(counts[x] / n - d.probs[x]) <= band + 1e-12
 
 
+class TestMakeRng:
+    """Every key seeds the stream ``np.random.default_rng`` gives it, whether
+    or not ``make_rng`` passes it on as 32-bit words."""
+
+    @pytest.mark.parametrize("key", [
+        0, 7, 2 ** 40, [4, 5], (), (0,), (1,), (2 ** 32 - 1,), (2 ** 32,),
+        (2 ** 64 + 5,), (True,), (5, False), (np.int64(9),), (3, np.int64(1)),
+        (3, 1), (0, 2 ** 32 - 1, 4), (3, 1, 4, 0x0AC1E), (2, 7, 1, 8, 2),
+        (1, 2, 3, 4, 5, 6), (1, 2 ** 32, 3),
+    ], ids=repr)
+    def test_same_stream_as_default_rng(self, key):
+        got = make_rng(key)
+        ref = np.random.default_rng(key)
+        assert got.random(200).tolist() == ref.random(200).tolist()
+        assert got.bit_generator.state == ref.bit_generator.state
+
+    def test_float_part_raises(self):
+        with pytest.raises(TypeError):
+            make_rng((1, 2.0))
+
+    def test_negative_part_raises(self):
+        with pytest.raises(ValueError):
+            make_rng((1, -1))
+
+
 class TestUniforms:
     """A draw stream hands out what successive ``rng.random()`` calls would,
     and leaves the generator where they would."""

@@ -152,6 +152,23 @@ class TestOracleLengthStats:
                                          n_runs=7)
         assert hist.sum() == 21
 
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_generator_ends_where_per_call_draws_leave_it(self, cap):
+        # With cap 1 the 21 runs draw 42 values, fewer than a block: a stream
+        # that fetched past twice the runs left would leave rng elsewhere.
+        target = random_tabular(4, 1, make_rng(11))
+        draft = temper(target, 2.0, 0.1)
+        prompts = [[0], [1], [2]]
+        rng, ref = make_rng(13), make_rng(13)
+        mean, _, hist = oracle_length_stats(target, draft, prompts, SAMPLING,
+                                            rng, cap=cap, n_runs=7)
+        lengths = [reference_oracle(target, draft, prompt, SAMPLING, ref, cap)
+                   for prompt in prompts for _ in range(7)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert hist.tolist() == np.bincount(lengths,
+                                            minlength=cap + 1).tolist()
+        assert mean == float(np.mean(lengths))
+
 
 class TestEntropyStats:
     def test_single_round_bookkeeping(self):
@@ -325,6 +342,18 @@ class TestEquivalence:
             equivalence_test(target, draft, lambda: ConstantPolicy(3), [0],
                              horizon=15, n_samples=20_000, rng=make_rng(0))
 
+    @pytest.mark.parametrize("vocab, horizon, too_large", [
+        (2, 13, False), (2, 14, True), (10, 4, False), (10, 5, True),
+        (3, 10 ** 9, True), (1, 10 ** 9, False)])
+    def test_state_space_guard_is_exact(self, vocab, horizon, too_large):
+        # The guard runs before the sample floor, so a space within the
+        # limit is told apart by the n_samples error.
+        target = random_tabular(vocab, 1, make_rng(0))
+        with pytest.raises(ValueError, match="state space too large"
+                           if too_large else "n_samples"):
+            equivalence_test(target, target, lambda: ConstantPolicy(3), [0],
+                             horizon=horizon, n_samples=100, rng=make_rng(0))
+
     def test_sample_floor(self, pair):
         target, draft = pair
         with pytest.raises(ValueError, match="n_samples"):
@@ -399,6 +428,23 @@ class TestRunExperiment:
         again = summarize_experiment(config, rep.results, [0.0])
         assert again.accept_rate == rep.accept_rate
 
+    def test_greedy_seeds_one_generator_per_decode(self, report, monkeypatch):
+        config, _ = report
+        keys = []
+
+        def counting_make_rng(key):
+            keys.append(key)
+            return make_rng(key)
+
+        monkeypatch.setattr(harness_module, "make_rng", counting_make_rng)
+        greedy = run_experiment(ExperimentConfig(
+            target=config.target, draft=config.draft,
+            policy_factory=config.policy_factory, policy_label="svip-0.8",
+            mode=GREEDY, horizon=config.horizon, prompts=config.prompts,
+            seeds=config.seeds))
+        assert keys == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        assert greedy.total_rounds > len(keys)
+
 
 def reference_oracle(target, draft, prefix, mode, rng, cap):
     """``oracle_draft_length`` with whole-prefix model calls."""
@@ -448,13 +494,15 @@ class TestTrailingContext:
 
     @staticmethod
     def reference_experiment(config, monkeypatch):
-        """``run_experiment`` with whole-prefix model calls throughout."""
+        """``run_experiment`` with whole-prefix model calls throughout and
+        per-call draws from generators numpy seeds from the same keys."""
         results, deltas = [], []
         for seed in config.seeds:
             for pi, prompt in enumerate(config.prompts):
                 result = reference_decode(config.target, config.draft, prompt,
                                           config.horizon, config.policy_factory(),
-                                          config.mode, make_rng((seed, pi)))
+                                          config.mode,
+                                          np.random.default_rng((seed, pi)))
                 results.append(result)
                 for rec in result.rounds:
                     if not rec.proposed_tokens:
@@ -462,8 +510,8 @@ class TestTrailingContext:
                     oracle = reference_oracle(
                         config.target, config.draft,
                         result.output_tokens[:rec.start_len], config.mode,
-                        make_rng((seed, pi, rec.round_index,
-                                  harness_module._ORACLE_SALT)),
+                        np.random.default_rng((seed, pi, rec.round_index,
+                                               harness_module._ORACLE_SALT)),
                         config.oracle_cap)
                     deltas.append(len(rec.proposed_tokens) - oracle)
         monkeypatch.setattr(harness_module, "kl_trace", reference_kl_trace)
