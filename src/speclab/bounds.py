@@ -220,7 +220,8 @@ def sample_pair(vocab_size: int, rng: Rng, kind: str = "independent",
 
 @dataclass
 class BoundReport:
-    """Every acceptance-rate quantity for one (target, draft) distribution pair."""
+    """Every acceptance-rate quantity for one (target, draft) distribution pair.
+    ``bounds-eval`` writes one column per field, in this order, then ``valid``."""
 
     beta: float
     tvd: float

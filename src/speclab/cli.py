@@ -20,12 +20,13 @@ import sys
 from typing import Callable
 
 from . import __version__
-from .bounds import bound_report, sample_pair, validity_condition
+from .bounds import BoundReport, bound_report, sample_pair, validity_condition
 from .dist import make_rng
-from .engine import DecodeMode, speculative_decode
+from .engine import DecodeMode
 from .harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
-                      equivalence_test, oracle_length_stats, round_csv_rows,
-                      run_experiment)
+                      check_equivalence_size, equivalence_test,
+                      oracle_length_stats, round_csv_rows, run_experiment,
+                      seeded_decodes)
 from .models import AutoregressiveModel, tabular_from_spec, temper
 from .policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                        LengthPolicy, SvipConfig, SvipPolicy)
@@ -36,8 +37,8 @@ class ValidationError(ValueError):
 
 
 def fmt9(value) -> str:
-    """Locale-independent fixed-precision rendering (9 significant digits)."""
-    if value is None:
+    """Locale-independent 9-significant-digit rendering; None and NaN are empty."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     if isinstance(value, bool):
         return str(value).lower()
@@ -218,12 +219,18 @@ def parse_prompts(cfg: dict, vocab_size: int) -> list[list[int]]:
     if not isinstance(prompts, list) or not prompts:
         raise ValidationError("prompts: expected a non-empty list of token lists")
     for i, prompt in enumerate(prompts):
-        if not isinstance(prompt, list) or not prompt:
-            raise ValidationError(f"prompts[{i}]: expected a non-empty token list")
-        for t in prompt:
-            if not _is_int(t) or not 0 <= t < vocab_size:
-                raise ValidationError(f"prompts[{i}]: token {t!r} out of vocab")
+        parse_prompt(prompt, f"prompts[{i}]", vocab_size)
     return prompts
+
+
+def parse_prompt(prompt, path: str, vocab_size: int) -> list[int]:
+    """``prompt`` if it is a non-empty list of in-vocab tokens."""
+    if not isinstance(prompt, list) or not prompt:
+        raise ValidationError(f"{path}: expected a non-empty token list")
+    for t in prompt:
+        if not _is_int(t) or not 0 <= t < vocab_size:
+            raise ValidationError(f"{path}: token {t!r} out of vocab")
+    return prompt
 
 
 def parse_seeds(cfg: dict, override: int | None) -> list[int]:
@@ -261,37 +268,15 @@ def parse_horizon(cfg: dict, prompts: list[list[int]]) -> int:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_decode(cfg: dict, args: argparse.Namespace) -> int:
-    target, draft = parse_models(cfg)
-    mode = parse_mode(cfg)
-    policy_factory, _ = parse_policy(cfg)
-    prompts = parse_prompts(cfg, target.vocab_size)
-    seeds = parse_seeds(cfg, args.seed_override)
-    horizon = parse_horizon(cfg, prompts)
-
-    results = []
-    for seed in seeds:
-        for pi, prompt in enumerate(prompts):
-            rng = make_rng((seed, pi))
-            result = speculative_decode(target, draft, prompt, horizon,
-                                        policy_factory(), mode, rng)
-            results.append(result)
-            tokens = " ".join(str(t) for t in result.output_tokens)
-            write_atomic(os.path.join(args.out, f"tokens_seed{seed}_prompt{pi}.txt"),
-                         tokens + "\n")
-    write_csv(os.path.join(args.out, "rounds.csv"), ROUND_CSV_FIELDS,
-              round_csv_rows(results))
-    return 0
-
-
-def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
+def parse_experiment(cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
+    """The config schema ``decode`` and ``experiment`` share."""
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     policy_factory, policy_label = parse_policy(cfg)
     prompts = parse_prompts(cfg, target.vocab_size)
     seeds = parse_seeds(cfg, args.seed_override)
     horizon = parse_horizon(cfg, prompts)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         target=target, draft=draft,
         policy_factory=policy_factory, policy_label=policy_label,
         mode=mode, horizon=horizon, prompts=prompts, seeds=seeds,
@@ -301,7 +286,22 @@ def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
         kl_window=_get_count(cfg, "kl_window", required=False, default=4),
         label=_get(cfg, "label", expect=str, required=False, default=""),
     )
-    report = run_experiment(config)
+
+
+def cmd_decode(cfg: dict, args: argparse.Namespace) -> int:
+    results = []
+    for seed, pi, result in seeded_decodes(parse_experiment(cfg, args)):
+        results.append(result)
+        tokens = " ".join(str(t) for t in result.output_tokens)
+        write_atomic(os.path.join(args.out, f"tokens_seed{seed}_prompt{pi}.txt"),
+                     tokens + "\n")
+    write_csv(os.path.join(args.out, "rounds.csv"), ROUND_CSV_FIELDS,
+              round_csv_rows(results))
+    return 0
+
+
+def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
+    report = run_experiment(parse_experiment(cfg, args))
     doc = report.to_jsonable()
     doc["tool_version"] = __version__
     doc["config_echo"] = cfg
@@ -340,19 +340,13 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
         p, q = sample_pair(vocab, rng, kind=kind, tau=tau, eps=eps)
         reports.append(bound_report(p, q, c))
     reports.sort(key=lambda r: r.beta)
-    rows = [{
-        "beta": r.beta, "tvd": r.tvd, "kl_q_p": r.kl_q_p,
-        "pinsker": r.pinsker, "bh": r.bh, "approx": r.approx,
-        "h_q": r.h_q, "h_qp": r.h_qp,
-        "gamma_ratio": None if math.isnan(r.gamma_ratio) else r.gamma_ratio,
-        "valid": validity_condition(r.gamma_ratio, c),
-    } for r in reports]
-    fields = ["beta", "tvd", "kl_q_p", "pinsker", "bh", "approx",
-              "h_q", "h_qp", "gamma_ratio", "valid"]
+    rows = [{**vars(r), "valid": validity_condition(r.gamma_ratio, c)}
+            for r in reports]
     if args.format == "json":
         write_json(os.path.join(args.out, "bounds.json"),
                    {"c": c, "rows": rows})
     else:
+        fields = [f.name for f in dataclasses.fields(BoundReport)] + ["valid"]
         write_csv(os.path.join(args.out, "bounds.csv"), fields, rows)
     return 0
 
@@ -361,12 +355,7 @@ def cmd_equivalence(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     policy_factory, policy_label = parse_policy(cfg)
-    prompt = _get(cfg, "prompt", expect=list)
-    for t in prompt:
-        if not _is_int(t) or not 0 <= t < target.vocab_size:
-            raise ValidationError(f"prompt: token {t!r} out of vocab")
-    if not prompt:
-        raise ValidationError("prompt: must be non-empty")
+    prompt = parse_prompt(_get(cfg, "prompt"), "prompt", target.vocab_size)
     horizon = _get_count(cfg, "horizon")
     n_samples = _get(cfg, "n_samples", expect=int)
     seed = _get_seed(cfg, "seed", args.seed_override)
@@ -374,21 +363,15 @@ def cmd_equivalence(cfg: dict, args: argparse.Namespace) -> int:
                            required=False, default=0.01))
     if not 0 <= threshold < math.inf:
         raise ValidationError("threshold: must be finite and >= 0")
-    # The exponent cap gives the exact verdict: see equivalence_test.
-    if target.vocab_size ** min(horizon, 14) > 10_000:
-        raise ValidationError(
-            f"horizon: state space too large ({target.vocab_size}^{horizon} "
-            "sequences; limit 10000)")
-    if n_samples < 10_000:
-        raise ValidationError("n_samples: must be >= 10000")
+    try:
+        check_equivalence_size(target.vocab_size, horizon, n_samples)
+    except ValueError as exc:  # its message starts with the field path
+        raise ValidationError(str(exc))
 
     verdict = equivalence_test(target, draft, policy_factory, prompt, horizon,
                                n_samples, make_rng(seed), threshold, mode)
-    write_json(os.path.join(args.out, "verdict.json"), {
-        "tvd": verdict.tvd, "passed": verdict.passed,
-        "threshold": verdict.threshold, "n_samples": verdict.n_samples,
-        "policy": policy_label,
-    })
+    write_json(os.path.join(args.out, "verdict.json"),
+               {**dataclasses.asdict(verdict), "policy": policy_label})
     print(f"equivalence: tvd={fmt9(verdict.tvd)} threshold={fmt9(threshold)} "
           f"{'PASS' if verdict.passed else 'FAIL'}")
     return 0 if verdict.passed else 3

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,23 +190,38 @@ class EquivalenceResult:
 
 def exact_sequence_probs(target: AutoregressiveModel, prompt: Sequence[int],
                          horizon: int) -> dict[tuple[int, ...], float]:
-    """Chain-rule probability of every length-``horizon`` continuation."""
+    """Chain-rule probability of every nonzero-probability length-``horizon``
+    continuation, stepping one context index per token as the engine does."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if not all(0 <= t < target.vocab_size for t in prompt):
+        raise ValueError("prompt token out of vocab")
+    radix = target.vocab_size + 1
+    span = radix ** target.context_order
     probs: dict[tuple[int, ...], float] = {}
-    stack = [((), 1.0)]
-    prompt = list(prompt)
+    stack = [((), context_index(prompt, len(prompt), target.vocab_size,
+                                target.context_order), 1.0)]
     while stack:
-        gen, pr = stack.pop()
+        gen, index, pr = stack.pop()
         if len(gen) == horizon:
             probs[gen] = pr
             continue
-        d = target.next_distribution(prompt + list(gen))
-        for t in range(d.probs.size):
-            p_t = float(d.probs[t])
+        for t, p_t in enumerate(target.row(index).probs.tolist()):
             if p_t > 0.0:
-                stack.append((gen + (t,), pr * p_t))
+                stack.append((gen + (t,), (index * radix + t + 1) % span, pr * p_t))
     return probs
+
+
+def check_equivalence_size(vocab_size: int, horizon: int, n_samples: int) -> None:
+    """Raise ``ValueError``, its message led by ``horizon:`` or ``n_samples:``,
+    unless the run enumerates at most 10_000 continuations and draws at least
+    10_000 decodes. Any vocab of 2 or more exceeds the limit past horizon 13
+    (2 ** 14 > 10_000); the horizon bound adds only a stop for a one-token vocab."""
+    if horizon > 13 or vocab_size ** horizon > 10_000:
+        raise ValueError(f"horizon: state space too large ({vocab_size}^{horizon} "
+                         "sequences; limit 10000)")
+    if n_samples < 10_000:
+        raise ValueError("n_samples: must be >= 10000")
 
 
 def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
@@ -219,16 +234,10 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     Enumerates all vocab^horizon continuations for the exact chain-rule
     probabilities, runs ``n_samples`` independent decodes, and returns the
     TVD between the empirical and exact sequence distributions with a
-    pass/fail verdict at ``threshold``.
+    pass/fail verdict at ``threshold``. Sampled continuations outside the
+    exact support count in full.
     """
-    # Every vocab of 2 or more passes 10_000 by exponent 14 (2 ** 14 = 16384)
-    # and 0 or 1 never does, so the capped power gives the same verdict
-    # without building a huge integer.
-    if target.vocab_size ** min(horizon, 14) > 10_000:
-        raise ValueError(
-            f"state space too large: {target.vocab_size}^{horizon} sequences")
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be >= 10000")
+    check_equivalence_size(target.vocab_size, horizon, n_samples)
     exact = exact_sequence_probs(target, prompt, horizon)
     max_len = len(prompt) + horizon
     counts: Counter[tuple[int, ...]] = Counter()
@@ -236,7 +245,7 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
         result = speculative_decode(target, draft, prompt, max_len,
                                     policy_factory(), mode, rng)
         counts[tuple(result.output_tokens[len(prompt):])] += 1
-    total = 0.0
+    total = sum(c for seq, c in counts.items() if seq not in exact) / n_samples
     for seq, p_exact in exact.items():
         total += abs(counts.get(seq, 0) / n_samples - p_exact)
     tvd_estimate = 0.5 * total
@@ -314,27 +323,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     width = max(config.target.context_order, config.draft.context_order)
     greedy = config.mode is DecodeMode.GREEDY
     oracle_rng = None
+    for seed, pi, result in seeded_decodes(config):
+        results.append(result)
+        out = result.output_tokens
+        for rec in result.rounds:
+            if not rec.proposed_tokens:
+                continue
+            if not greedy:
+                oracle_rng = Uniforms(
+                    make_rng((seed, pi, rec.round_index, _ORACLE_SALT)))
+                oracle_rng.fill(2 * config.oracle_cap)
+            oracle = oracle_draft_length(
+                config.target, config.draft,
+                out[max(rec.start_len - width, 0):rec.start_len],
+                config.mode, oracle_rng, config.oracle_cap)
+            deltas.append(len(rec.proposed_tokens) - oracle)
+    return summarize_experiment(config, results, deltas)
+
+
+def seeded_decodes(config: ExperimentConfig) -> Iterator[tuple[int, int, DecodeResult]]:
+    """Yield ``(seed, pi, result)`` for every prompt under every seed, seeded by
+    the key ``(seed, pi)``; ``speculative_decode`` is resolved in this module at
+    each call, so patching ``harness.speculative_decode`` sees every decode."""
     for seed in config.seeds:
         for pi, prompt in enumerate(config.prompts):
-            rng = make_rng((seed, pi))
-            result = speculative_decode(config.target, config.draft, prompt,
-                                        config.horizon, config.policy_factory(),
-                                        config.mode, rng)
-            results.append(result)
-            out = result.output_tokens
-            for rec in result.rounds:
-                if not rec.proposed_tokens:
-                    continue
-                if not greedy:
-                    oracle_rng = Uniforms(
-                        make_rng((seed, pi, rec.round_index, _ORACLE_SALT)))
-                    oracle_rng.fill(2 * config.oracle_cap)
-                oracle = oracle_draft_length(
-                    config.target, config.draft,
-                    out[max(rec.start_len - width, 0):rec.start_len],
-                    config.mode, oracle_rng, config.oracle_cap)
-                deltas.append(len(rec.proposed_tokens) - oracle)
-    return summarize_experiment(config, results, deltas)
+            yield seed, pi, speculative_decode(
+                config.target, config.draft, prompt, config.horizon,
+                config.policy_factory(), config.mode, make_rng((seed, pi)))
 
 
 def summarize_experiment(config: ExperimentConfig, results: list[DecodeResult],

@@ -161,6 +161,19 @@ class TestMalformedConfig:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"oracle_cap": 0}, "oracle_cap"),
+        ({"kl_window": True}, "kl_window"),
+        ({"label": 5}, "label"),
+        ({"cost_model": {"r_draft": float("nan")}}, "cost_model"),
+    ], ids=["oracle-cap-0", "bool-kl-window", "int-label", "nan-r-draft"])
+    def test_decode_rejects_malformed_experiment_fields(self, tmp_path, target_spec,
+                                                        capsys, overrides, path):
+        cfg = decode_config(tmp_path, target_spec, **overrides)
+        assert main(["decode", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
     @pytest.mark.parametrize("path, keys, value, message", [
         ("target_spec", ["rows"], 7, "rows: expected a list, got int"),
         ("target_spec", ["rows", 1, "probs"], 0.5,
@@ -388,12 +401,32 @@ class TestEquivalenceCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error: horizon:")
 
+    def test_one_token_vocab_huge_horizon_rejected_at_once(self, tmp_path,
+                                                           capsys):
+        # One continuation at any horizon: only the horizon bound stops it.
+        model = write_config(tmp_path, "one.json", {
+            "vocab_size": 1, "context_order": 0,
+            "rows": [{"context": [], "probs": [1.0]}]})
+        cfg = self.equivalence_config(tmp_path, model, horizon=1_000_000_000)
+        start = time.perf_counter()
+        rc = main(["equivalence", "--config", cfg, "--out",
+                   str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: horizon:")
+
     @pytest.mark.parametrize("overrides, path", [
         ({"horizon": 0}, "horizon"),
         ({"horizon": -1}, "horizon"),
         ({"threshold": float("nan")}, "threshold"),
         ({"seed": -1}, "seed"),
-    ], ids=["horizon-0", "negative-horizon", "nan-threshold", "negative-seed"])
+        ({"prompt": 0}, "prompt"),
+        ({"prompt": []}, "prompt"),
+        ({"prompt": [3]}, "prompt"),
+        ({"prompt": [True]}, "prompt"),
+    ], ids=["horizon-0", "negative-horizon", "nan-threshold", "negative-seed",
+            "prompt-not-list", "empty-prompt", "out-of-vocab-prompt-token",
+            "bool-prompt-token"])
     def test_rejected_with_field_path(self, tmp_path, target_spec, capsys,
                                       overrides, path):
         cfg = self.equivalence_config(tmp_path, target_spec, **overrides)

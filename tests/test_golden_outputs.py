@@ -6,8 +6,10 @@ The digests were recorded while models were still looked up by context tuple,
 before the engine carried a context index. The sampling decode's were
 recorded while each uniform was drawn by its own ``rng.random()`` call; its
 299-token decodes now fetch them in blocks. A change that means to alter
-outputs must say why and record them again. ``equivalence.json`` is left out:
-acceptance criterion 5 already runs its 200k decodes. The files hold floats
+outputs must say why and record them again. ``equivalence.json`` is left out,
+since acceptance criterion 5 already runs its 200k decodes; a 10k-decode run
+of the same pair at horizon 2 pins ``verdict.json`` and the verdict line
+``equivalence`` prints. The files hold floats
 from numpy's cumsum, log and exp, so a numpy build with other elementary
 functions may read other digests.
 """
@@ -33,6 +35,13 @@ SAMPLING_DECODE = {
     "draft_spec": {"temper": {"tau": 2.0, "eps": 0.2}},
     "mode": "sampling", "policy": {"kind": "svip", "h": 0.85},
     "horizon": 300, "prompts": [[1], [2]], "seeds": [5, 6],
+}
+SMALL_EQUIVALENCE = {
+    "target_spec": "configs/segmented_target.json",
+    "draft_spec": {"temper": {"tau": 2.0, "eps": 0.1}},
+    "mode": "sampling", "policy": {"kind": "constant", "k": 3},
+    "prompt": [0], "horizon": 2, "n_samples": 10_000, "seed": 13,
+    "threshold": 0.01,
 }
 
 # name -> (command, config file or decode config, --format, {file: sha256})
@@ -88,3 +97,15 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch, name):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir()}
     assert got == digests
+
+
+def test_equivalence_verdict_matches_recorded_digest(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "equivalence.json"
+    path.write_text(json.dumps(SMALL_EQUIVALENCE))
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert main(["equivalence", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "equivalence: tvd=0.00450000143 threshold=0.01 PASS\n"
+    assert [p.name for p in out.iterdir()] == ["verdict.json"]
+    assert hashlib.sha256((out / "verdict.json").read_bytes()).hexdigest() == (
+        "3d72c86842ff71193428a2da70d8fe5f88c055af04251ac114cd85ccf6299742")

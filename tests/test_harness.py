@@ -8,7 +8,7 @@ import pytest
 import speclab.engine as engine_module
 import speclab.harness as harness_module
 from speclab.dist import (Distribution, argmax, kl_divergence, make_rng,
-                          residual, sample)
+                          normalize, residual, sample)
 from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             verify_greedy, verify_sampling)
 from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
@@ -17,7 +17,8 @@ from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              oracle_draft_length, oracle_length_stats,
                              round_csv_rows, run_experiment,
                              sorted_logprob_profile, summarize_experiment)
-from speclab.models import random_tabular, tabular_from_spec, temper
+from speclab.models import (TabularModel, context_space, random_tabular,
+                            tabular_from_spec, temper)
 from speclab.policies import ConstantPolicy, HeuristicPolicy, SvipConfig, SvipPolicy
 from test_engine import Recording, reference_decode
 
@@ -292,6 +293,47 @@ class TestExactSequenceProbs:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             exact_sequence_probs(order0([0.3, 0.7]), [0], horizon)
 
+    @pytest.mark.parametrize("prompt", [[3], [0, -1]])
+    def test_prompt_token_out_of_vocab_rejected(self, prompt):
+        with pytest.raises(ValueError, match="prompt token out of vocab"):
+            exact_sequence_probs(random_tabular(3, 1, make_rng(0)), prompt, 2)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_list_context_reference(self, order):
+        rng = make_rng(26 + order)
+        for vocab in range(1, 6):
+            table = {}
+            for key in context_space(vocab, order):
+                w = rng.dirichlet(np.ones(vocab))
+                w[rng.random(vocab) < 0.3] = 0.0  # zero-mass entries
+                w[rng.integers(vocab)] += 0.5
+                table[key] = normalize(w)
+            target = TabularModel(vocab, order, table)
+            for prompt_len in (1, order + 2):
+                prompt = rng.integers(vocab, size=prompt_len).tolist()
+                for horizon in range(1, 5):
+                    got = exact_sequence_probs(target, prompt, horizon)
+                    want = reference_exact_sequence_probs(target, prompt, horizon)
+                    assert list(got.items()) == list(want.items())
+
+
+def reference_exact_sequence_probs(target, prompt, horizon):
+    """``exact_sequence_probs`` with whole-context model calls."""
+    probs = {}
+    stack = [((), 1.0)]
+    prompt = list(prompt)
+    while stack:
+        gen, pr = stack.pop()
+        if len(gen) == horizon:
+            probs[gen] = pr
+            continue
+        d = target.next_distribution(prompt + list(gen))
+        for t in range(d.probs.size):
+            p_t = float(d.probs[t])
+            if p_t > 0.0:
+                stack.append((gen + (t,), pr * p_t))
+    return probs
+
 
 @pytest.fixture(scope="module")
 def pair():
@@ -344,7 +386,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("vocab, horizon, too_large", [
         (2, 13, False), (2, 14, True), (10, 4, False), (10, 5, True),
-        (3, 10 ** 9, True), (1, 10 ** 9, False)])
+        (3, 10 ** 9, True), (1, 10 ** 9, True), (1, 13, False), (1, 14, True)])
     def test_state_space_guard_is_exact(self, vocab, horizon, too_large):
         # The guard runs before the sample floor, so a space within the
         # limit is told apart by the n_samples error.
@@ -359,6 +401,36 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="n_samples"):
             equivalence_test(target, draft, lambda: ConstantPolicy(3), [0],
                              horizon=2, n_samples=100, rng=make_rng(0))
+
+    def test_tvd_counts_mass_outside_exact_support(self, monkeypatch):
+        # Accepting every draft token emits tokens the target gives no mass.
+        target = tabular_from_spec({
+            "vocab_size": 3, "context_order": 1,
+            "rows": [{"context": [0], "probs": [0.5, 0.5, 0.0]},
+                     {"context": [1], "probs": [0.0, 0.3, 0.7]},
+                     {"context": [2], "probs": [0.6, 0.0, 0.4]}],
+            "default": [0.2, 0.0, 0.8],
+        })
+        draft = temper(target, 2.0, 0.3)
+        monkeypatch.setattr(engine_module, "verify_sampling",
+                            lambda p, q, token, rng: True)
+        outputs = []
+
+        def recording_decode(*args, **kwargs):
+            result = engine_module.speculative_decode(*args, **kwargs)
+            outputs.append(tuple(result.output_tokens[1:]))
+            return result
+
+        monkeypatch.setattr(harness_module, "speculative_decode", recording_decode)
+        res = equivalence_test(target, draft, lambda: ConstantPolicy(3), [0],
+                               horizon=2, n_samples=10_000, rng=make_rng(27))
+        exact = exact_sequence_probs(target, [0], 2)
+        n = len(outputs)
+        off = sum(seq not in exact for seq in outputs) / n
+        assert n == 10_000 and off > 0.1
+        want = 0.5 * (off + sum(abs(outputs.count(seq) / n - p)
+                                for seq, p in exact.items()))
+        assert res.tvd == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
