@@ -61,10 +61,10 @@ class DecodeResult:
 def verify_sampling(p_dist: Distribution, q_dist: Distribution, token: int,
                     rng: Rng) -> bool:
     """Accept the draft token with probability min(1, p(token)/q(token))."""
-    q_t = q_dist.probs[token]
+    q_t = (q_dist._list or q_dist.probs_list())[token]
     if q_t <= 0.0:
         raise ValueError(f"impossible draft token: q({token}) = 0")
-    return rng.random() * q_t < p_dist.probs[token]
+    return rng.random() * q_t < (p_dist._list or p_dist.probs_list())[token]
 
 
 def verify_greedy(p_dist: Distribution, token: int) -> bool:
@@ -106,12 +106,17 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     """Decode with draft rounds whose length the policy controls.
 
     Per round: draft tokens from q while the policy continues (at least one),
-    compute the target distributions for all drafted positions plus one in a
-    single batched evaluation, verify left-to-right, replace the first
+    verify left-to-right against the target distributions, replace the first
     rejected token with a correction, or append a bonus target token when the
     whole round is accepted. Rounds never overrun ``max_len``: drafting is
     truncated near the horizon, and when exactly one slot remains the final
     token comes from a drafting-free round (bonus only).
+
+    A target row is looked up only when verification reaches its position
+    (plus the bonus row after a fully accepted round), but every round is
+    charged as one batched target forward over all drafted positions plus
+    one, which is what a real target model runs: ``target_forward_calls`` is
+    the number of rounds.
 
     The loop carries the ``context_index`` of the output's trailing
     ``max(context_order)`` tokens and steps it per drafted or emitted token,
@@ -131,9 +136,11 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     radix = target.vocab_size + 1
     span = radix ** width
     draft_row, target_row = draft.row, target.row
+    should_continue, on_round_end = policy.should_continue, policy.on_round_end
 
     out = list(prompt)
-    result = DecodeResult(output_tokens=out, prompt_len=len(prompt))
+    rounds: list[RoundRecord] = []
+    draft_calls = probe_calls = 0
     index = context_index(out, len(out), target.vocab_size, width)
     stream = None
     if not greedy and max_len - len(out) >= BLOCK:
@@ -165,53 +172,41 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
                     break
                 q_next = draft_row(index)
                 h_next = entropy(q_next)
-                if not policy.should_continue(len(proposed), h_next):
+                if not should_continue(len(proposed), h_next):
                     next_entropy = h_next
-                    result.draft_probe_calls += 1
+                    probe_calls += 1
                     break
                 q_cur = q_next
-            result.draft_forward_calls += len(proposed)
+            draft_calls += len(proposed)
 
-        # One batched target evaluation: all drafted positions plus one.
-        p_dists = [target_row(i) for i in indices]
-        result.target_forward_calls += 1
-
-        accepted = 0
+        # Target rows are read as verification reaches them.
+        accepted = len(proposed)
         correction: int | None = None
-        for j, token in enumerate(proposed):
-            ok = (verify_greedy(p_dists[j], token) if greedy
-                  else verify_sampling(p_dists[j], q_dists[j], token, rng))
-            if ok:
-                accepted += 1
-            else:
-                correction = (correct_greedy(p_dists[j]) if greedy
-                              else correct_sampling(p_dists[j], q_dists[j], rng))
-                break
-
         bonus: int | None = None
-        out.extend(proposed[:accepted])
-        if correction is not None:
-            last = correction
+        for j, token in enumerate(proposed):
+            p_j = target_row(indices[j])
+            if not (verify_greedy(p_j, token) if greedy
+                    else verify_sampling(p_j, q_dists[j], token, rng)):
+                accepted = j
+                last = correction = (correct_greedy(p_j) if greedy
+                                     else correct_sampling(p_j, q_dists[j], rng))
+                break
         else:
-            p_last = p_dists[len(proposed)]
+            p_last = target_row(index)
             last = bonus = argmax(p_last) if greedy else sample(p_last, rng)
+        out += proposed[:accepted]
         out.append(last)
         index = (indices[accepted] * radix + last + 1) % span
 
-        result.rounds.append(RoundRecord(
-            round_index=len(result.rounds),
-            start_len=start_len,
-            proposed_tokens=proposed,
-            draft_entropies=entropies,
-            next_entropy=next_entropy,
-            accepted_count=accepted,
-            correction=correction,
-            bonus=bonus,
-        ))
+        rounds.append(RoundRecord(len(rounds), start_len, proposed, entropies,
+                                  next_entropy, accepted, correction, bonus))
         if proposed:
-            policy.on_round_end(len(proposed), accepted, accepted == len(proposed))
+            on_round_end(len(proposed), accepted, correction is None)
 
-    return result
+    return DecodeResult(output_tokens=out, prompt_len=len(prompt), rounds=rounds,
+                        target_forward_calls=len(rounds),
+                        draft_forward_calls=draft_calls,
+                        draft_probe_calls=probe_calls)
 
 
 def check_pair(target: AutoregressiveModel, draft: AutoregressiveModel) -> None:

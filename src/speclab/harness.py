@@ -14,8 +14,9 @@ import numpy as np
 
 from .dist import (Distribution, Rng, Uniforms, argmax, kl_divergence,
                    make_rng, sample)
-from .engine import (DecodeMode, DecodeResult, RoundRecord, check_pair,
-                     speculative_decode, verify_greedy, verify_sampling)
+from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
+                     check_pair, speculative_decode, verify_greedy,
+                     verify_sampling)
 from .models import AutoregressiveModel, context_index
 from .policies import LengthPolicy
 
@@ -231,15 +232,21 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
                      mode: DecodeMode = DecodeMode.SAMPLING) -> EquivalenceResult:
     """Compare speculative decoding's output distribution to the exact target.
 
-    Enumerates all vocab^horizon continuations for the exact chain-rule
-    probabilities, runs ``n_samples`` independent decodes, and returns the
-    TVD between the empirical and exact sequence distributions with a
-    pass/fail verdict at ``threshold``. Sampled continuations outside the
-    exact support count in full.
+    Under sampling the exact distribution is the chain-rule probability of
+    every continuation, enumerated up to vocab^horizon; under greedy it is
+    the target's argmax chain, one continuation with probability 1. Runs
+    ``n_samples`` independent decodes and returns the TVD between the
+    empirical and exact sequence distributions with a pass/fail verdict at
+    ``threshold``. Sampled continuations outside the exact support count in
+    full.
     """
     check_equivalence_size(target.vocab_size, horizon, n_samples)
-    exact = exact_sequence_probs(target, prompt, horizon)
     max_len = len(prompt) + horizon
+    if mode is DecodeMode.GREEDY:  # draws nothing from rng
+        chain = autoregressive_decode(target, prompt, max_len, mode, rng)
+        exact = {tuple(chain[len(prompt):]): 1.0}
+    else:
+        exact = exact_sequence_probs(target, prompt, horizon)
     counts: Counter[tuple[int, ...]] = Counter()
     for _ in range(n_samples):
         result = speculative_decode(target, draft, prompt, max_len,
@@ -396,17 +403,34 @@ ROUND_CSV_FIELDS = ["decode_index", "round_index", "proposed", "accepted",
 
 def round_csv_rows(results: Iterable[DecodeResult]):
     """One row per round, keyed by ROUND_CSV_FIELDS."""
-    for di, result in enumerate(results):
-        for rec in result.rounds:
-            mean_h = (float(np.mean(rec.draft_entropies))
-                      if rec.draft_entropies else None)
-            yield {
-                "decode_index": di,
-                "round_index": rec.round_index,
-                "proposed": len(rec.proposed_tokens),
-                "accepted": rec.accepted_count,
-                "correction": rec.correction,
-                "bonus": rec.bonus,
-                "mean_entropy": mean_h,
-                "next_entropy": rec.next_entropy,
-            }
+    keyed = [(di, rec) for di, result in enumerate(results)
+             for rec in result.rounds]
+    means = _row_means([rec.draft_entropies for _, rec in keyed])
+    for (di, rec), mean_h in zip(keyed, means):
+        yield {
+            "decode_index": di,
+            "round_index": rec.round_index,
+            "proposed": len(rec.proposed_tokens),
+            "accepted": rec.accepted_count,
+            "correction": rec.correction,
+            "bonus": rec.bonus,
+            "mean_entropy": mean_h,
+            "next_entropy": rec.next_entropy,
+        }
+
+
+def _row_means(rows: Sequence[Sequence[float]]) -> list[float | None]:
+    """``float(np.mean(row))`` of each row, None for an empty one, with one
+    ``np.mean(axis=1)`` per distinct row length instead of one call per row.
+    numpy sums each row of the stack with the loop it sums the row alone
+    with, so every value is bit-identical (a test pins this)."""
+    by_len: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            by_len.setdefault(len(row), []).append(i)
+    means: list[float | None] = [None] * len(rows)
+    for idx in by_len.values():
+        stacked = np.mean([rows[i] for i in idx], axis=1)
+        for i, m in zip(idx, stacked.tolist()):
+            means[i] = m
+    return means

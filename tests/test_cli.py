@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from speclab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -433,6 +436,17 @@ class TestEquivalenceCommand:
         assert main(["equivalence", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+    def test_greedy_compares_with_the_argmax_chain(self, tmp_path, capsys):
+        # The shipped pair in greedy mode: one output, the target's argmax
+        # chain. Compared with the sampling distribution it read tvd 0.3.
+        doc = json.loads((ROOT / "configs" / "equivalence.json").read_text())
+        doc.update(target_spec=str(ROOT / "configs" / "segmented_target.json"),
+                   mode="greedy", horizon=2, n_samples=10_000)
+        cfg = write_config(tmp_path, "greedy.json", doc)
+        rc = main(["equivalence", "--config", cfg, "--out", str(tmp_path / "g")])
+        assert capsys.readouterr().out == "equivalence: tvd=0 threshold=0.01 PASS\n"
+        assert rc == 0
 
     def test_failure_exit_code_consistent_with_verdict(self, tmp_path,
                                                        target_spec):

@@ -243,6 +243,66 @@ class TestSample:
                 assert abs(counts[x] / n - d.probs[x]) <= band + 1e-12
 
 
+def reference_sample(d, rng):
+    """``sample`` reading the cdf and the fallback's zeros from numpy."""
+    r = rng.random()
+    cdf = np.cumsum(d.probs)
+    idx = int(np.searchsorted(cdf, r, side="right"))
+    if idx >= d.probs.size:
+        idx = d.probs.size - 1
+        while idx > 0 and d.probs[idx] == 0.0:
+            idx -= 1
+    return idx
+
+
+class FixedDraws:
+    """A generator stand-in that hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestListMemo:
+    """The memoised ``probs_list`` and cdf give the draws numpy reads give."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_same_tokens_as_numpy_reads(self, seed):
+        gen = make_rng(seed)
+        rng, ref_rng = make_rng((seed, 1)), make_rng((seed, 1))
+        for _ in range(300):
+            v = int(gen.integers(1, 12))
+            w = gen.dirichlet(np.ones(v))
+            w[gen.random(v) < 0.4] = 0.0
+            w[gen.integers(v)] += 1e-3
+            d = normalize(w)
+            for _ in range(5):
+                assert sample(d, rng) == reference_sample(d, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_roundoff_fallback_skips_trailing_zeros(self):
+        # Sums to 1 - 1e-10, within tolerance: a uniform past the last
+        # cumulative value lands on the last token with mass.
+        d = Distribution([0.5, 0.5 - 1e-10, 0.0, 0.0])
+        r = 1.0 - 1e-11
+        assert d.cdf()[-1] < r
+        assert sample(d, FixedDraws([r])) == reference_sample(d, FixedDraws([r])) == 1
+
+    def test_every_row_source_memoises_its_list(self):
+        gen = make_rng(4)
+        p, q = normalize(gen.random(5)), normalize(gen.random(5))
+        stacked = distribution_rows(gen.dirichlet(np.ones(5), size=3))
+        for d in (p, q, *stacked, residual(p, q),
+                  *normalize_rows(gen.random((2, 5)).tolist())):
+            assert d._list is None  # filled on first use, not at construction
+            values = d.probs_list()
+            assert values == d.probs.tolist()
+            assert type(values[0]) is float
+            assert d.probs_list() is values
+
+
 class TestMakeRng:
     """Every key seeds the stream ``np.random.default_rng`` gives it, whether
     or not ``make_rng`` passes it on as 32-bit words."""

@@ -14,8 +14,9 @@ from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             autoregressive_decode, correct_greedy,
                             correct_sampling, speculative_decode,
                             verify_greedy, verify_sampling)
-from speclab.models import (AutoregressiveModel, TabularModel, context_space,
-                            random_tabular, tabular_from_spec, temper)
+from speclab.models import (AutoregressiveModel, TabularModel, context_index,
+                            context_space, random_tabular, tabular_from_spec,
+                            temper)
 from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                               SvipConfig, SvipPolicy)
 
@@ -158,6 +159,53 @@ class TestVerifySampling:
                        for _ in range(n))
             band = 3.0 * math.sqrt(beta * (1 - beta) / n)
             assert abs(hits / n - beta) <= band
+
+
+def reference_verify(p_dist, q_dist, token, rng):
+    """``verify_sampling`` reading numpy scalars from ``probs``."""
+    q_t = q_dist.probs[token]
+    if q_t <= 0.0:
+        raise ValueError(f"impossible draft token: q({token}) = 0")
+    return rng.random() * q_t < p_dist.probs[token]
+
+
+def random_row(gen, v, zero_fraction):
+    """A Dirichlet row with about ``zero_fraction`` of its entries zeroed."""
+    w = gen.dirichlet(np.ones(v))
+    w[gen.random(v) < zero_fraction] = 0.0
+    w[gen.integers(v)] += 1e-3  # at least one entry keeps mass
+    return normalize(w)
+
+
+def near(d, gen, scale):
+    """A row within about ``scale`` of ``d`` (p ≈ q), zeros kept at zero."""
+    return normalize(d.probs * (1.0 + scale * gen.standard_normal(d.probs.size)))
+
+
+class TestListReads:
+    """``verify_sampling`` reads q(token) and p(token) from the memoised
+    ``probs_list``: the same values as the numpy reads, so the same accept
+    decisions from a generator in the same state."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_decisions_as_numpy_reads(self, seed):
+        gen = make_rng(seed)
+        rng, ref_rng = make_rng((seed, 1)), make_rng((seed, 1))
+        decisions = []
+        for _ in range(400):
+            v = int(gen.integers(2, 9))
+            q = random_row(gen, v, 0.3)
+            kind = int(gen.integers(4))
+            p = (q if kind == 0 else near(q, gen, 1e-15) if kind == 1
+                 else near(q, gen, 1e-9) if kind == 2 else random_row(gen, v, 0.3))
+            for token in np.flatnonzero(q.probs).tolist():
+                got = verify_sampling(p, q, token, rng)
+                assert got == reference_verify(p, q, token, ref_rng)
+                decisions.append(got)
+            assert p.probs_list() == p.probs.tolist()
+            assert q.probs_list() == q.probs.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert 0 < sum(decisions) < len(decisions)
 
 
 class TestVerifyGreedy:
@@ -410,6 +458,42 @@ class TestTrailingContext:
         assert set(indices) == {0}  # span 4 ** 0: one context
         assert res == reference_decode(target, draft, [0, 1], 1000,
                                        ConstantPolicy(7), SAMPLING, make_rng(54))
+
+
+class TestLazyTargetRows:
+    """Target rows are looked up only as verification reaches them, plus the
+    bonus row, and each round is still charged one batched target forward."""
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("policy_factory", [
+        lambda: ConstantPolicy(4),
+        lambda: HeuristicPolicy(),
+    ])
+    def test_reads_accepted_plus_one_rows_per_round(self, mode, policy_factory):
+        # An unrelated draft: many rejections, some fully accepted rounds.
+        target = random_tabular(4, 2, make_rng(61))
+        draft = random_tabular(4, 2, make_rng(63))
+        width, horizon = 2, 300
+        reads = []
+        res = speculative_decode(Recording(target, reads), draft, [0, 1],
+                                 horizon, policy_factory(), mode, make_rng(62))
+        out = res.output_tokens
+        # Rejected at position j: rows 0..j. Fully accepted: every drafted
+        # row plus the bonus row. Either way, accepted_count + 1 rows, at the
+        # contexts the output holds.
+        want = [context_index(out, rec.start_len + j, target.vocab_size, width)
+                for rec in res.rounds for j in range(rec.accepted_count + 1)]
+        assert reads == want
+        assert res.target_forward_calls == len(res.rounds)
+        rejected = [rec for rec in res.rounds if rec.correction is not None]
+        full = [rec for rec in res.rounds
+                if rec.proposed_tokens and rec.correction is None]
+        assert rejected and full
+        assert any(rec.accepted_count + 1 < len(rec.proposed_tokens)
+                   for rec in rejected)  # some rows were never read
+        ref = reference_decode(target, draft, [0, 1], horizon,
+                               policy_factory(), mode, make_rng(62))
+        assert res == ref
 
 
 def generator(kind, seed):

@@ -378,6 +378,26 @@ class TestEquivalence:
                                threshold=0.02)
         assert not res.passed
 
+    def test_greedy_compares_with_the_argmax_chain(self, pair):
+        target, draft = pair
+        rng = make_rng(5)
+        state = rng.bit_generator.state
+        res = equivalence_test(target, draft, lambda: ConstantPolicy(3), [0],
+                               horizon=3, n_samples=10_000, rng=rng, mode=GREEDY)
+        assert res.tvd == 0.0 and res.passed
+        assert rng.bit_generator.state == state  # greedy draws nothing
+
+    def test_greedy_accept_all_fails(self, pair, monkeypatch):
+        # Accepting every proposal emits the draft's argmax chain, which an
+        # unrelated draft does not share with the target.
+        target, _ = pair
+        draft = random_tabular(3, 1, make_rng(4))
+        monkeypatch.setattr(engine_module, "verify_greedy", lambda p, token: True)
+        res = equivalence_test(target, draft, lambda: ConstantPolicy(3), [0],
+                               horizon=3, n_samples=10_000, rng=make_rng(5),
+                               mode=GREEDY)
+        assert res.tvd == 1.0 and not res.passed
+
     def test_state_space_guard(self, pair):
         target, draft = pair
         with pytest.raises(ValueError, match="state space too large"):
@@ -487,6 +507,27 @@ class TestRunExperiment:
                                     "mean_entropy", "next_entropy"]
         for row in rows:
             assert list(row) == ROUND_CSV_FIELDS
+
+    def test_round_csv_mean_entropy_bit_identical(self):
+        # Means are taken per group of equal length; each must equal the
+        # round's own np.mean bit for bit, rows in their order.
+        gen = make_rng(8)
+        rounds = []
+        for i in range(600):
+            n = int(gen.integers(1, 41)) if i % 7 else 0
+            rounds.append(RoundRecord(i % 300, 0, [0] * n,
+                                      (gen.random(n) * math.log(3)).tolist(),
+                                      None, 0, None, 0))
+        results = [DecodeResult([0], 1, rounds[:300]),
+                   DecodeResult([0], 1, rounds[300:])]
+        rows = list(round_csv_rows(results))
+        assert [(r["decode_index"], r["round_index"]) for r in rows] == [
+            (i // 300, i % 300) for i in range(600)]
+        want = [float(np.mean(rec.draft_entropies)).hex()
+                if rec.draft_entropies else None for rec in rounds]
+        got = [None if r["mean_entropy"] is None else r["mean_entropy"].hex()
+               for r in rows]
+        assert got == want
 
     def test_jsonable_round_trip_fields(self, report):
         _, rep = report
