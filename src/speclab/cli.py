@@ -72,11 +72,12 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, fieldnames: list[str], rows) -> None:
+    """Header then one line per dict in ``rows``, its values in ``fieldnames``
+    order through ``fmt9``; a missing key is an empty cell."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: fmt9(row.get(k)) for k in fieldnames})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([fmt9(row.get(k)) for k in fieldnames] for row in rows)
     write_atomic(path, buf.getvalue())
 
 

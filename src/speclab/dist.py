@@ -72,6 +72,180 @@ class Uniforms:
                 self._ahead = block
 
 
+# numpy's SeedSequence hash constants (uint32 words) and PCG64's 128-bit LCG
+# multiplier as its high and low 64-bit halves.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MULT_HI, _MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32, _MASK64 = 0xFFFF_FFFF, 0xFFFF_FFFF_FFFF_FFFF
+_U64 = np.uint64
+
+
+class KeyedStreams:
+    """The ``random()`` streams of many ``make_rng`` keys, stepped together.
+
+    Lane k's i-th value from ``random`` is bit for bit the i-th
+    ``make_rng(keys[k]).random()``. A key of four plain ints in [0, 2**32),
+    or a row of a 2-d ``uint32`` array with four columns, is seeded here,
+    all such keys at once: numpy's ``SeedSequence`` hashing, then PCG64's
+    seeding. Any other key takes its seeded state from
+    ``make_rng(key).bit_generator.state``. Each lane's PCG64 state and
+    increment are 128-bit integers held as uint64 high and low halves; a
+    step multiplies through 32-bit limbs and outputs XSL-RR, as numpy's
+    PCG64 does. ``keep`` drops lanes; the lanes left keep their own streams.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, keys):
+        if isinstance(keys, np.ndarray) and keys.dtype == np.uint32 and keys.shape[1:] == (4,):
+            self._state = _seeded_pcg64(keys)
+            return
+        self._state = state = np.empty((4, len(keys)), _U64)
+        fast = []
+        for i, key in enumerate(keys):
+            if _is_word_key(key):
+                fast.append(i)
+            else:
+                st = make_rng(key).bit_generator.state["state"]
+                s, inc = st["state"], st["inc"]
+                state[:, i] = (s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
+        if fast:
+            state[:, fast] = _seeded_pcg64(np.array([keys[i] for i in fast], np.uint32))
+
+    def __len__(self) -> int:
+        return self._state.shape[1]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the lanes where ``mask`` is true, in their order."""
+        self._state = self._state[:, mask]
+
+    def random(self) -> np.ndarray:
+        """Each lane's next ``random()`` value, as a float64 array."""
+        hi, lo = _lcg_step(self._state)
+        x = hi ^ lo  # XSL-RR: fold the halves, rotate right by the top 6 bits
+        rot = hi >> _U64(58)
+        right = x >> rot
+        rot = _U64(64) - rot
+        rot &= _U64(63)
+        x <<= rot
+        x |= right
+        x >>= _U64(11)
+        return x * (1.0 / 9007199254740992.0)
+
+
+def _is_word_key(key) -> bool:
+    if type(key) is not tuple or len(key) != 4:
+        return False
+    return all(type(s) is int and 0 <= s <= _MASK32 for s in key)
+
+
+def _lcg_step(state: np.ndarray):
+    """Set the rows ``hi, lo`` of ``state = [hi, lo, inc_hi, inc_lo]`` to
+    ``(hi, lo) * _MULT + (inc_hi, inc_lo)`` modulo 2**128, and return them.
+
+    The high half takes ``hi * _MULT_LO + lo * _MULT_HI``, the high 64 bits
+    of ``lo * _MULT_LO`` (summed from 32-bit limbs) and the carry out of
+    the low half."""
+    hi, lo, inc_hi, inc_lo = state
+    lo0, lo1 = lo & _U64(_MASK32), lo >> _U64(32)
+    t = lo0 * _U64(_MULT_LO & _MASK32)
+    t >>= _U64(32)
+    t += lo1 * _U64(_MULT_LO & _MASK32)
+    lo0 *= _U64(_MULT_LO >> 32)
+    lo0 += t & _U64(_MASK32)
+    lo0 >>= _U64(32)
+    t >>= _U64(32)
+    t += lo0
+    lo1 *= _U64(_MULT_LO >> 32)
+    t += lo1  # the high 64 bits of lo * _MULT_LO
+    t += lo * _U64(_MULT_HI)
+    hi *= _U64(_MULT_LO)
+    hi += t
+    hi += inc_hi
+    lo *= _U64(_MULT_LO)
+    hi += _carry(lo, inc_lo)
+    lo += inc_lo
+    return hi, lo
+
+
+def _carry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The carry out of ``a + b`` on uint64 lanes, 0 or 1: the top bit of
+    the sum of the halves and of the carry out of bit 0. Shifts and adds
+    reuse the step's loops, where ``a + b < b`` would also page in numpy's
+    uint64 comparison and bool cast."""
+    c = a & b
+    c &= _U64(1)
+    c += a >> _U64(1)
+    c += b >> _U64(1)
+    c >>= _U64(63)
+    return c
+
+
+def _seeded_pcg64(words: np.ndarray) -> np.ndarray:
+    """``[hi, lo, inc_hi, inc_lo]`` of ``default_rng(row)``'s PCG64 state for
+    each row of the ``(n, 4)`` uint32 array ``words``, seeded as
+    ``pcg64_set_seed`` seeds it from ``_generate_state(words)``."""
+    state = _generate_state(words)
+    hi, lo, seq_hi, seq_lo = state
+    # inc = seq << 1 | 1 replaces seq; the state, stepped from 0 to inc,
+    # takes the seed and is stepped again.
+    seq_hi <<= _U64(1)
+    seq_hi |= seq_lo >> _U64(63)
+    seq_lo <<= _U64(1)
+    seq_lo |= _U64(1)
+    hi += seq_hi
+    hi += _carry(lo, seq_lo)
+    lo += seq_lo
+    _lcg_step(state)
+    return state
+
+
+def _generate_state(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, uint64)`` of each row of the
+    ``(n, 4)`` uint32 array ``words``, as the rows ``[seed hi, seed lo, seq
+    hi, seq lo]``: the row's four entropy words fill and mix the pool, and
+    eight words drawn from the pool pair up little-endian. The uint32
+    arithmetic runs on uint64 lanes, masked to 32 bits after each product
+    and difference, so that it pages in no numpy loops beyond those the
+    PCG64 step uses."""
+    mask = _U64(_MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ _U64(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= _U64(hash_const)
+        value &= mask
+        value ^= value >> _U64(16)
+        return value
+
+    pool = [hashmix(w.astype(_U64)) for w in words.T]  # as long as the key
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _U64(_MIX_L)
+                mixed -= hashmix(pool[src]) * _U64(_MIX_R)
+                mixed &= mask
+                mixed ^= mixed >> _U64(16)
+                pool[dst] = mixed
+    state = np.empty((4, len(words)), _U64)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ _U64(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= _U64(hash_const)
+        value &= mask
+        value ^= value >> _U64(16)
+        if i % 2:
+            state[i // 2] |= value << _U64(32)
+        else:
+            state[i // 2] = value
+    return state
+
+
 class Distribution:
     """A normalized probability vector over a finite vocabulary.
 

@@ -6,14 +6,15 @@ and the Monte Carlo output-distribution equivalence verdict.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dist import (Distribution, Rng, Uniforms, argmax, kl_divergence,
-                   make_rng, sample)
+from .dist import (Distribution, KeyedStreams, Rng, Uniforms, argmax,
+                   kl_divergence, make_rng, sample)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
                      check_pair, speculative_decode, verify_greedy,
                      verify_sampling)
@@ -318,34 +319,128 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Decode every (seed, prompt) pair and aggregate the round traces.
 
-    The per-round oracle length is re-simulated from the round-start context
-    with a forked deterministic rng stream, so reports are reproducible.
-    Nothing else reads a round's oracle generator, so its stream fetches the
-    most draws the oracle can make (two per token up to ``oracle_cap``,
-    ``BLOCK`` at most) in one block; a greedy oracle draws nothing and gets
-    no generator.
+    Each round's oracle length is re-simulated from its start context, under
+    sampling with the stream of ``make_rng((seed, pi, round_index,
+    _ORACLE_SALT))``, so reports are reproducible. The rounds' start context
+    indices and keys are collected as integer columns while the decodes
+    arrive, and ``oracle_lengths`` runs every oracle of the experiment as one
+    batch; a greedy oracle draws nothing and gets no streams.
     """
     results: list[DecodeResult] = []
-    deltas: list[float] = []
-    width = max(config.target.context_order, config.draft.context_order)
-    greedy = config.mode is DecodeMode.GREEDY
-    oracle_rng = None
+    target, draft = config.target, config.draft
+    width = max(target.context_order, draft.context_order)
+    prefixes: list[tuple[int, int]] = []  # (seed, pi) of each decode
+    decode_of, round_of, proposed = array("I"), array("I"), array("I")
+    starts = array("q") if (target.vocab_size + 1) ** width < 2 ** 63 else []
     for seed, pi, result in seeded_decodes(config):
-        results.append(result)
         out = result.output_tokens
         for rec in result.rounds:
-            if not rec.proposed_tokens:
-                continue
-            if not greedy:
-                oracle_rng = Uniforms(
-                    make_rng((seed, pi, rec.round_index, _ORACLE_SALT)))
-                oracle_rng.fill(2 * config.oracle_cap)
-            oracle = oracle_draft_length(
-                config.target, config.draft,
-                out[max(rec.start_len - width, 0):rec.start_len],
-                config.mode, oracle_rng, config.oracle_cap)
-            deltas.append(len(rec.proposed_tokens) - oracle)
+            if rec.proposed_tokens:
+                decode_of.append(len(results))
+                round_of.append(rec.round_index)
+                proposed.append(len(rec.proposed_tokens))
+                starts.append(context_index(out, rec.start_len, target.vocab_size, width))
+        prefixes.append((seed, pi))
+        results.append(result)
+    streams = None
+    if config.mode is not DecodeMode.GREEDY:
+        streams = KeyedStreams(_oracle_keys(prefixes, decode_of, round_of))
+    oracle = oracle_lengths(target, draft, starts, config.mode, streams, config.oracle_cap)
+    deltas = np.frombuffer(proposed, np.uint32).astype(np.int64) - oracle
     return summarize_experiment(config, results, deltas)
+
+
+def _oracle_keys(prefixes: list[tuple[int, int]], decode_of: array, round_of: array):
+    """The oracle key ``(seed, pi, round_index, _ORACLE_SALT)`` of every round:
+    the rows of one uint32 array when every seed fits in 32 bits, else tuples."""
+    if any(seed > 0xFFFF_FFFF for seed, _ in prefixes):
+        return [(*prefixes[d], r, _ORACLE_SALT) for d, r in zip(decode_of, round_of)]
+    words = np.empty((len(round_of), 4), np.uint32)
+    words[:, :2] = np.array(prefixes, np.uint32).reshape(-1, 2)[
+        np.frombuffer(decode_of, np.uint32)]
+    words[:, 2] = np.frombuffer(round_of, np.uint32)
+    words[:, 3] = _ORACLE_SALT
+    return words
+
+
+def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
+                   starts: Sequence[int], mode: DecodeMode,
+                   streams: KeyedStreams | None, cap: int) -> np.ndarray:
+    """``oracle_draft_length`` of many rounds at once, one lane per round.
+
+    Lane k starts at the context index ``starts[k]`` over the pair's widest
+    window and, under sampling, draws from lane k of ``streams`` (greedy
+    reads no streams). At each step every live lane draws its sample
+    uniform and then its coin, picks the draft token as ``sample`` would,
+    accepts iff ``coin * q_t < p_t``, and drops out at its first rejection
+    or at ``cap``. The rows of each context a lane reaches are read once,
+    through ``row``, and stacked; nothing fills their memos. A lane carries
+    its row in the stacks and steps through ``after``, which names the row a
+    token leads to once some lane has taken that step.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    check_pair(target, draft)
+    greedy = mode is DecodeMode.GREEDY
+    vocab = target.vocab_size
+    radix = vocab + 1
+    span = radix ** max(target.context_order, draft.context_order)
+    contexts: list[int] = []  # the context index of each row in the stacks
+    row_of: dict[int, int] = {}
+
+    def row(index: int) -> int:
+        r = row_of.get(index)
+        if r is None:
+            r = row_of[index] = len(contexts)
+            contexts.append(index)
+        return r
+
+    rows = np.fromiter(map(row, starts), dtype=np.intp, count=len(starts))
+    lanes = np.arange(rows.size)
+    lengths = np.full(rows.size, cap, dtype=np.int64)
+    q = p = np.empty((0, vocab))
+    after = np.empty((0, vocab), dtype=np.intp)  # row reached by each token, or -1
+    for step in range(cap):
+        if not lanes.size:
+            break
+        if len(contexts) > len(q):
+            fresh = contexts[len(q):]
+            q = np.concatenate((q, [draft.row(i).probs for i in fresh]))
+            p = np.concatenate((p, [target.row(i).probs for i in fresh]))
+            after = np.concatenate((after, np.full((len(fresh), vocab), -1)))
+        if greedy:
+            token = np.argmax(q, axis=1)[rows]
+            ok = np.argmax(p, axis=1)[rows] == token
+        else:
+            token = sample_rows(q, rows, streams.random())
+            ok = streams.random() * q[rows, token] < p[rows, token]
+            streams.keep(ok)
+        lengths[lanes[~ok]] = step
+        lanes, rows, token = lanes[ok], rows[ok], token[ok]
+        new = after[rows, token] < 0
+        if new.any():
+            for edge in set((rows[new] * vocab + token[new]).tolist()):
+                r, t = divmod(edge, vocab)
+                after[r, t] = row((contexts[r] * radix + t + 1) % span)
+        rows = after[rows, token]
+    return lengths
+
+
+def sample_rows(probs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sample`` of the row ``probs[rows[k]]`` with the uniform ``u[k]``, for
+    every lane k.
+
+    Counts the entries of the row's ``np.cumsum`` at or below ``u[k]``, as
+    ``sample``'s ``bisect_right`` over the same cumsum does; a ``u[k]`` past
+    the last cumulative value by roundoff gets the row's last positive-mass
+    token.
+    """
+    vocab = probs.shape[1]
+    token = (np.cumsum(probs, axis=1)[rows] <= u[:, None]).sum(axis=1)
+    over = token == vocab
+    if over.any():
+        token[over] = vocab - 1 - np.argmax(probs[rows[over], ::-1] > 0.0, axis=1)
+    return token
 
 
 def seeded_decodes(config: ExperimentConfig) -> Iterator[tuple[int, int, DecodeResult]]:

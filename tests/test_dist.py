@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speclab.dist import (BLOCK, Distribution, Uniforms, argmax,
+import speclab.dist as dist_module
+from speclab.dist import (BLOCK, Distribution, KeyedStreams, Uniforms, argmax,
                           cross_entropy, distribution_rows, entropy,
                           kl_divergence, make_rng, normalize, normalize_rows,
                           residual, sample, tvd)
@@ -389,6 +392,85 @@ class TestUniforms:
         assert [sample(d, stream) for _ in range(100)] == [
             sample(d, ref) for _ in range(100)]
         assert self.state(rng) == self.state(ref)
+
+
+def lane_draws(streams, n):
+    """``n`` values of every lane, one row per lane."""
+    return np.array([streams.random() for _ in range(n)]).T
+
+
+class TestKeyedStreams:
+    """Lane k of a batch gives bit for bit ``make_rng(keys[k]).random(n)``,
+    whether its key is seeded in the batch or through ``make_rng``."""
+
+    EDGE_PARTS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("part", EDGE_PARTS)
+    @pytest.mark.parametrize("position", range(4))
+    def test_edge_parts(self, part, position):
+        key = [3, 1, 4, 0x0AC1E]
+        key[position] = part
+        keys = [tuple(key), (part,), part, (part, part, part, part, part, part)]
+        got = lane_draws(KeyedStreams(keys), BLOCK + 17)
+        for lane, k in zip(got, keys):
+            assert self.bits(lane) == self.bits(make_rng(k).random(BLOCK + 17))
+
+    def test_word_rows_seed_without_make_rng(self, monkeypatch):
+        # A uint32 array of 4-part keys, and a list of 4-tuples of 32-bit
+        # ints, are seeded in the batch: make_rng is never called.
+        gen = make_rng(31)
+        words = gen.integers(0, 2 ** 32, size=(300, 4), dtype=np.uint64)
+        words[:4] = [[0] * 4, [2 ** 32 - 1] * 4, [0, 2 ** 32 - 1, 0, 1],
+                     [2 ** 32 - 1, 0, 5, 0x0AC1E]]
+        keys = [tuple(int(w) for w in row) for row in words]
+        want = [make_rng(k).random(90) for k in keys]
+
+        def no_make_rng(key):
+            raise AssertionError(f"make_rng({key!r}) called")
+
+        monkeypatch.setattr(dist_module, "make_rng", no_make_rng)
+        for batch in (words.astype(np.uint32), keys):
+            got = lane_draws(KeyedStreams(batch), 90)
+            assert self.bits(got) == self.bits(want)
+
+    @pytest.mark.parametrize("keys", [[], np.empty((0, 4), np.uint32)],
+                             ids=["list", "array"])
+    def test_empty_batch(self, keys):
+        streams = KeyedStreams(keys)
+        assert len(streams) == 0
+        assert streams.random().shape == (0,)
+        streams.keep(np.zeros(0, dtype=bool))
+        assert streams.random().dtype == np.float64
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_batches(self, data):
+        word = st.one_of(st.sampled_from([0, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1))
+        part = st.one_of(st.sampled_from(self.EDGE_PARTS), st.integers(0, 2 ** 70))
+        key = st.one_of(st.tuples(word, word, word, word), part,
+                        st.lists(part, min_size=1, max_size=6).map(tuple))
+        keys = data.draw(st.lists(key, max_size=10), label="keys")
+        as_rows = all(type(k) is tuple and len(k) == 4 and max(k) < 2 ** 32
+                      for k in keys) and data.draw(st.booleans(), label="as rows")
+        n = data.draw(st.one_of(st.sampled_from([BLOCK, BLOCK + 1, 81]),
+                                st.integers(1, 100)), label="n")
+        cut = data.draw(st.integers(0, n), label="cut")
+        kept = data.draw(st.lists(st.booleans(), min_size=len(keys),
+                                  max_size=len(keys)), label="kept")
+        want = [make_rng(k).random(n) for k in keys]
+        streams = KeyedStreams(np.array(keys, np.uint32).reshape(-1, 4)
+                               if as_rows else keys)
+        lanes = list(range(len(keys)))
+        for i in range(n):
+            if i == cut:  # drop lanes mid-way; the rest keep their streams
+                streams.keep(np.array(kept, dtype=bool))
+                lanes = [k for k in lanes if kept[k]]
+            assert len(streams) == len(lanes)
+            assert self.bits(streams.random()) == self.bits([want[k][i] for k in lanes])
 
 
 class TestResidual:

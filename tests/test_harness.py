@@ -1,25 +1,32 @@
 """Experiment harness: oracle lengths, diagnostics, speedup, equivalence."""
 
+import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import speclab.engine as engine_module
 import speclab.harness as harness_module
-from speclab.dist import (Distribution, argmax, kl_divergence, make_rng,
-                          normalize, residual, sample)
+from speclab.dist import (Distribution, KeyedStreams, Uniforms, argmax,
+                          kl_divergence, make_rng, normalize, residual, sample)
 from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             verify_greedy, verify_sampling)
 from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              entropy_stats, equivalence_test, estimated_speedup,
                              exact_sequence_probs, kl_trace,
                              oracle_draft_length, oracle_length_stats,
-                             round_csv_rows, run_experiment,
-                             sorted_logprob_profile, summarize_experiment)
-from speclab.models import (TabularModel, context_space, random_tabular,
-                            tabular_from_spec, temper)
+                             oracle_lengths, round_csv_rows, run_experiment,
+                             sample_rows, sorted_logprob_profile,
+                             summarize_experiment)
+from speclab.models import (AutoregressiveModel, TabularModel, context_index,
+                            context_space, random_tabular, tabular_from_spec,
+                            temper)
 from speclab.policies import ConstantPolicy, HeuristicPolicy, SvipConfig, SvipPolicy
+from test_dist import FixedDraws
 from test_engine import Recording, reference_decode
 
 SAMPLING = DecodeMode.SAMPLING
@@ -125,6 +132,136 @@ class TestOracleDraftLength:
             oracle_draft_length(target, draft, [0], SAMPLING, make_rng(0), 5)
         with pytest.raises(ValueError, match="model pair mismatch"):
             kl_trace(target, draft, [], window=2)
+
+
+class Holed(AutoregressiveModel):
+    """``model`` with no row for the context index ``hole``."""
+
+    def __init__(self, model, hole):
+        self.model, self.hole = model, hole
+        self.vocab_size = model.vocab_size
+        self.context_order = model.context_order
+
+    def row(self, index):
+        if index % (self.vocab_size + 1) ** self.context_order == self.hole:
+            return self.missing_row(("hole",))
+        return self.model.row(index)
+
+
+def scalar_oracle(target, draft, prefix, mode, key, cap):
+    """``oracle_draft_length`` of one round, drawing from ``make_rng(key)``
+    through a stream filled to twice the cap."""
+    draws = None
+    if mode is SAMPLING:
+        draws = Uniforms(make_rng(key))
+        draws.fill(2 * cap)
+    return oracle_draft_length(target, draft, prefix, mode, draws, cap)
+
+
+class TestOracleLengths:
+    """Each lane of the batched oracle gives the scalar oracle's length for
+    its round, from the round's start context and key."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_pairs(self, data):
+        vocab = data.draw(st.integers(1, 5), label="vocab")
+        rng = make_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+        def row():  # zero-mass entries, at least one positive
+            w = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.6)
+            w[rng.integers(vocab)] += 0.5
+            return normalize(w)
+
+        def model(label):
+            order = data.draw(st.integers(0, 3), label=f"{label} order")
+            default = row() if data.draw(st.booleans(), label=f"{label} default") else None
+            keys = [k for k in context_space(vocab, order)
+                    if default is None or rng.random() < 0.6]
+            return TabularModel(vocab, order, {k: row() for k in keys}, default)
+
+        target = model("target")
+        draft = target if data.draw(st.booleans(), label="draft is target") else model("draft")
+        mode = data.draw(st.sampled_from([SAMPLING, GREEDY]), label="mode")
+        cap = data.draw(st.sampled_from([1, 2, 40]), label="cap")
+        seed = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70))
+        prefixes = [(s, pi) for pi, s in enumerate(
+            data.draw(st.lists(seed, min_size=1, max_size=3), label="seeds"))]
+        lanes = data.draw(st.lists(st.tuples(
+            st.integers(0, len(prefixes) - 1), st.integers(0, 2 ** 32 - 1),
+            st.lists(st.integers(0, vocab - 1), max_size=5)), max_size=12), label="lanes")
+        width = max(target.context_order, draft.context_order)
+        decode_of = array("I", [d for d, _, _ in lanes])
+        round_of = array("I", [r for _, r, _ in lanes])
+        streams = KeyedStreams(harness_module._oracle_keys(prefixes, decode_of, round_of))
+        starts = [context_index(prefix, len(prefix), vocab, width) for _, _, prefix in lanes]
+        got = oracle_lengths(target, draft, starts, mode,
+                             None if mode is GREEDY else streams, cap)
+        want = [scalar_oracle(target, draft, prefix, mode,
+                              (*prefixes[d], r, harness_module._ORACLE_SALT), cap)
+                for d, r, prefix in lanes]
+        assert got.tolist() == want
+
+    def test_token_choice_same_as_sample_past_the_last_cdf_value(self):
+        # Ten 0.1s sum to 1 - 2**-53: uniforms at every cumulative value and
+        # above the last one, including those past it by roundoff.
+        rows = [Distribution([0.1] * 10), Distribution([0.0, 0.5, 0.5, 0.0]),
+                Distribution([0.5, 0.5 - 1e-10, 0.0, 0.0])]
+        for d in rows:
+            cdf = np.cumsum(d.probs).tolist()
+            us = [0.0, *cdf, np.nextafter(cdf[-1], 1.0), 1.0 - 1e-11, 1.0 - 2 ** -53]
+            us = [u for u in us if u < 1.0]
+            want = [sample(d, FixedDraws([u])) for u in us]
+            got = sample_rows(d.probs[None, :], np.zeros(len(us), dtype=int),
+                              np.array(us))
+            assert got.tolist() == want
+        assert cdf[-1] < 1.0 - 1e-11 and want[-1] == 1
+
+    def test_rows_read_once_per_context_and_left_unmemoised(self):
+        target = random_tabular(3, 2, make_rng(63), spiky_fraction=0.5)
+        draft = temper(target, 2.0, 0.2)
+        read_t, read_d = [], []
+        starts = [0, 1, 5, 5, 7] * 20
+        keys = [(9, 0, r, harness_module._ORACLE_SALT) for r in range(len(starts))]
+        lengths = oracle_lengths(Recording(target, read_t), Recording(draft, read_d),
+                                 starts, SAMPLING, KeyedStreams(keys), 40)
+        assert lengths.max() > 1
+        assert read_t == read_d and len(set(read_t)) == len(read_t)
+        assert all(0 <= i < 4 ** 2 for i in read_t)
+        for d in (*target.rows.values(), *draft.rows.values()):
+            assert d._cdf is None and d._list is None
+
+    def test_coin_exactly_at_the_accept_ratio_rejects(self):
+        # q(0) = 1 and p(0) is the lane's own coin: coin * q < p is false.
+        key = (5, 0, 3, harness_module._ORACLE_SALT)
+        _, coin = make_rng(key).random(2)
+        draft = TabularModel(2, 0, {(): Distribution([1.0, 0.0])})
+        target = TabularModel(2, 0, {(): Distribution([coin, 1.0 - coin])})
+        assert scalar_oracle(target, draft, [], SAMPLING, key, 3) == 0
+        got = oracle_lengths(target, draft, [0], SAMPLING, KeyedStreams([key]), 3)
+        assert got.tolist() == [0]
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("holed", ["target", "draft"])
+    def test_missing_row_raises_as_the_scalar_oracle_does(self, mode, holed):
+        model = random_tabular(3, 1, make_rng(2))
+        hole = Holed(model, context_index([1], 1, 3, 1))
+        target, draft = (hole, model) if holed == "target" else (model, hole)
+        key = (1, 0, 0, harness_module._ORACLE_SALT)
+        with pytest.raises(ValueError, match="no row for context"):
+            scalar_oracle(target, draft, [1], mode, key, 5)
+        with pytest.raises(ValueError, match="no row for context"):
+            oracle_lengths(target, draft, [context_index([0], 1, 3, 1), 2],
+                           mode, KeyedStreams([key, key]), 5)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_raises(self, cap, report):
+        config, _ = report
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            oracle_lengths(config.target, config.draft, [], SAMPLING,
+                           KeyedStreams([]), cap)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            run_experiment(dataclasses.replace(config, oracle_cap=cap))
 
 
 class TestOracleLengthStats:
@@ -641,3 +778,14 @@ class TestTrailingContext:
         ref = self.reference_experiment(self.config(target, draft), monkeypatch)
         assert report.to_jsonable() == ref.to_jsonable()
         assert report.results == ref.results
+
+    @pytest.mark.parametrize("seeds", [[1, 2 ** 32 - 1], [3, 2 ** 32 + 7]])
+    def test_oracle_keys_past_32_bits_same_as_whole_prefix(self, seeds, monkeypatch):
+        # A seed of 2**32 or more takes its oracle streams from make_rng.
+        target = random_tabular(4, 2, make_rng(62), spiky_fraction=0.5)
+        draft = temper(target, 2.0, 0.2)
+        config = dataclasses.replace(self.config(target, draft), seeds=seeds,
+                                     horizon=300)
+        report = run_experiment(config)
+        ref = self.reference_experiment(config, monkeypatch)
+        assert report.to_jsonable() == ref.to_jsonable()
