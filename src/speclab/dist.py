@@ -86,10 +86,10 @@ class KeyedStreams:
     """The ``random()`` streams of many ``make_rng`` keys, stepped together.
 
     Lane k's i-th value from ``random`` is bit for bit the i-th
-    ``make_rng(keys[k]).random()``. A key of four plain ints in [0, 2**32),
-    or a row of a 2-d ``uint32`` array with four columns, is seeded here,
-    all such keys at once: numpy's ``SeedSequence`` hashing, then PCG64's
-    seeding. Any other key takes its seeded state from
+    ``make_rng(keys[k]).random()``. A 2-d ``uint32`` array with four columns
+    holds one 4-part key per row, and all its rows are seeded here at once:
+    numpy's ``SeedSequence`` hashing, then PCG64's seeding. Each key of any
+    other sequence takes its seeded state from
     ``make_rng(key).bit_generator.state``. Each lane's PCG64 state and
     increment are 128-bit integers held as uint64 high and low halves; a
     step multiplies through 32-bit limbs and outputs XSL-RR, as numpy's
@@ -103,16 +103,10 @@ class KeyedStreams:
             self._state = _seeded_pcg64(keys)
             return
         self._state = state = np.empty((4, len(keys)), _U64)
-        fast = []
         for i, key in enumerate(keys):
-            if _is_word_key(key):
-                fast.append(i)
-            else:
-                st = make_rng(key).bit_generator.state["state"]
-                s, inc = st["state"], st["inc"]
-                state[:, i] = (s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
-        if fast:
-            state[:, fast] = _seeded_pcg64(np.array([keys[i] for i in fast], np.uint32))
+            st = make_rng(key).bit_generator.state["state"]
+            s, inc = st["state"], st["inc"]
+            state[:, i] = (s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
 
     def __len__(self) -> int:
         return self._state.shape[1]
@@ -133,12 +127,6 @@ class KeyedStreams:
         x |= right
         x >>= _U64(11)
         return x * (1.0 / 9007199254740992.0)
-
-
-def _is_word_key(key) -> bool:
-    if type(key) is not tuple or len(key) != 4:
-        return False
-    return all(type(s) is int and 0 <= s <= _MASK32 for s in key)
 
 
 def _lcg_step(state: np.ndarray):
@@ -165,22 +153,9 @@ def _lcg_step(state: np.ndarray):
     hi += t
     hi += inc_hi
     lo *= _U64(_MULT_LO)
-    hi += _carry(lo, inc_lo)
     lo += inc_lo
+    hi += lo < inc_lo  # the carry out of the low half
     return hi, lo
-
-
-def _carry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The carry out of ``a + b`` on uint64 lanes, 0 or 1: the top bit of
-    the sum of the halves and of the carry out of bit 0. Shifts and adds
-    reuse the step's loops, where ``a + b < b`` would also page in numpy's
-    uint64 comparison and bool cast."""
-    c = a & b
-    c &= _U64(1)
-    c += a >> _U64(1)
-    c += b >> _U64(1)
-    c >>= _U64(63)
-    return c
 
 
 def _seeded_pcg64(words: np.ndarray) -> np.ndarray:
@@ -196,8 +171,8 @@ def _seeded_pcg64(words: np.ndarray) -> np.ndarray:
     seq_lo <<= _U64(1)
     seq_lo |= _U64(1)
     hi += seq_hi
-    hi += _carry(lo, seq_lo)
     lo += seq_lo
+    hi += lo < seq_lo
     _lcg_step(state)
     return state
 
@@ -206,41 +181,35 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, uint64)`` of each row of the
     ``(n, 4)`` uint32 array ``words``, as the rows ``[seed hi, seed lo, seq
     hi, seq lo]``: the row's four entropy words fill and mix the pool, and
-    eight words drawn from the pool pair up little-endian. The uint32
-    arithmetic runs on uint64 lanes, masked to 32 bits after each product
-    and difference, so that it pages in no numpy loops beyond those the
-    PCG64 step uses."""
-    mask = _U64(_MASK32)
+    eight words drawn from the pool pair up little-endian. The hashing runs
+    on uint32 arrays, which wrap as ``SeedSequence``'s uint32 words do."""
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ _U64(hash_const)
+        value = value ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_A & _MASK32
-        value *= _U64(hash_const)
-        value &= mask
-        value ^= value >> _U64(16)
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
         return value
 
-    pool = [hashmix(w.astype(_U64)) for w in words.T]  # as long as the key
+    pool = [hashmix(w) for w in words.T]  # as long as the key
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                mixed = pool[dst] * _U64(_MIX_L)
-                mixed -= hashmix(pool[src]) * _U64(_MIX_R)
-                mixed &= mask
-                mixed ^= mixed >> _U64(16)
+                mixed = pool[dst] * np.uint32(_MIX_L)
+                mixed -= hashmix(pool[src]) * np.uint32(_MIX_R)
+                mixed ^= mixed >> np.uint32(16)
                 pool[dst] = mixed
     state = np.empty((4, len(words)), _U64)
     hash_const = _INIT_B
     for i in range(8):
-        value = pool[i % 4] ^ _U64(hash_const)
+        value = pool[i % 4] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
-        value *= _U64(hash_const)
-        value &= mask
-        value ^= value >> _U64(16)
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
         if i % 2:
-            state[i // 2] |= value << _U64(32)
+            state[i // 2] |= value.astype(_U64) << _U64(32)
         else:
             state[i // 2] = value
     return state
@@ -398,6 +367,24 @@ def sample(d: Distribution, rng: Rng) -> int:
         while idx > 0 and d.probs[idx] == 0.0:
             idx -= 1
     return idx
+
+
+def sample_rows(probs: np.ndarray, cdf: np.ndarray, rows: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """``sample`` of the row ``probs[rows[k]]`` with the uniform ``u[k]``, for
+    every k, where ``cdf`` is ``np.cumsum(probs, axis=1)``.
+
+    Counts the entries of the row's cumsum at or below ``u[k]``, as
+    ``sample``'s ``bisect_right`` over the same cumsum does; a ``u[k]`` at or
+    past the last cumulative value, which roundoff can leave below 1, gets
+    the row's last positive-mass token.
+    """
+    vocab = probs.shape[1]
+    token = (cdf[rows] <= u[:, None]).sum(axis=1)
+    over = token == vocab
+    if over.any():
+        token[over] = vocab - 1 - np.argmax(probs[rows[over], ::-1] > 0.0, axis=1)
+    return token
 
 
 def residual(p: Distribution, q: Distribution) -> Distribution:

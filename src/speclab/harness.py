@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dist import (Distribution, KeyedStreams, Rng, Uniforms, argmax,
-                   kl_divergence, make_rng, sample)
+                   kl_divergence, make_rng, sample, sample_rows)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
                      check_pair, speculative_decode, verify_greedy,
                      verify_sampling)
@@ -398,21 +398,31 @@ def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
     rows = np.fromiter(map(row, starts), dtype=np.intp, count=len(starts))
     lanes = np.arange(rows.size)
     lengths = np.full(rows.size, cap, dtype=np.int64)
-    q = p = np.empty((0, vocab))
-    after = np.empty((0, vocab), dtype=np.intp)  # row reached by each token, or -1
+    # Per stacked row: the draft and target probs and, under sampling, the
+    # draft's cumsum (greedy: both argmaxes); the row reached by each token.
+    q = p = cdf = np.empty((0, vocab))
+    q_top = p_top = np.empty(0, dtype=np.intp)
+    after = np.empty((0, vocab), dtype=np.intp)
     for step in range(cap):
         if not lanes.size:
             break
-        if len(contexts) > len(q):
-            fresh = contexts[len(q):]
-            q = np.concatenate((q, [draft.row(i).probs for i in fresh]))
-            p = np.concatenate((p, [target.row(i).probs for i in fresh]))
+        if len(contexts) > len(after):
+            fresh = contexts[len(after):]
+            q_new = np.array([draft.row(i).probs for i in fresh])
+            p_new = np.array([target.row(i).probs for i in fresh])
+            if greedy:
+                q_top = np.concatenate((q_top, np.argmax(q_new, axis=1)))
+                p_top = np.concatenate((p_top, np.argmax(p_new, axis=1)))
+            else:
+                q = np.concatenate((q, q_new))
+                p = np.concatenate((p, p_new))
+                cdf = np.concatenate((cdf, np.cumsum(q_new, axis=1)))
             after = np.concatenate((after, np.full((len(fresh), vocab), -1)))
         if greedy:
-            token = np.argmax(q, axis=1)[rows]
-            ok = np.argmax(p, axis=1)[rows] == token
+            token = q_top[rows]
+            ok = p_top[rows] == token
         else:
-            token = sample_rows(q, rows, streams.random())
+            token = sample_rows(q, cdf, rows, streams.random())
             ok = streams.random() * q[rows, token] < p[rows, token]
             streams.keep(ok)
         lengths[lanes[~ok]] = step
@@ -424,23 +434,6 @@ def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
                 after[r, t] = row((contexts[r] * radix + t + 1) % span)
         rows = after[rows, token]
     return lengths
-
-
-def sample_rows(probs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``sample`` of the row ``probs[rows[k]]`` with the uniform ``u[k]``, for
-    every lane k.
-
-    Counts the entries of the row's ``np.cumsum`` at or below ``u[k]``, as
-    ``sample``'s ``bisect_right`` over the same cumsum does; a ``u[k]`` past
-    the last cumulative value by roundoff gets the row's last positive-mass
-    token.
-    """
-    vocab = probs.shape[1]
-    token = (np.cumsum(probs, axis=1)[rows] <= u[:, None]).sum(axis=1)
-    over = token == vocab
-    if over.any():
-        token[over] = vocab - 1 - np.argmax(probs[rows[over], ::-1] > 0.0, axis=1)
-    return token
 
 
 def seeded_decodes(config: ExperimentConfig) -> Iterator[tuple[int, int, DecodeResult]]:

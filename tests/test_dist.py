@@ -11,7 +11,7 @@ import speclab.dist as dist_module
 from speclab.dist import (BLOCK, Distribution, KeyedStreams, Uniforms, argmax,
                           cross_entropy, distribution_rows, entropy,
                           kl_divergence, make_rng, normalize, normalize_rows,
-                          residual, sample, tvd)
+                          residual, sample, sample_rows, tvd)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -306,6 +306,33 @@ class TestListMemo:
             assert d.probs_list() is values
 
 
+class TestSampleRows:
+    """``sample_rows`` picks, lane by lane, the token ``sample`` picks."""
+
+    def test_same_as_sample_at_and_past_every_cdf_value(self):
+        # Ten 0.1s sum to 1 - 2**-53: uniforms at every cumulative value and
+        # above the last one, including those past it by roundoff, where the
+        # last positive-mass token is picked. All rows share one stack.
+        dists = [Distribution([0.1] * 10),
+                 Distribution([0.0, 0.5, 0.5] + [0.0] * 7),
+                 Distribution([0.5, 0.5 - 1e-10] + [0.0] * 8)]
+        probs = np.array([d.probs for d in dists])
+        rows, us, want, past = [], [], [], 0
+        for r, d in enumerate(dists):
+            cdf = np.cumsum(d.probs).tolist()
+            for u in [0.0, *cdf, np.nextafter(cdf[-1], 1.0), 1.0 - 1e-11, 1.0 - 2 ** -53]:
+                if u < 1.0:
+                    rows.append(r)
+                    us.append(u)
+                    want.append(sample(d, FixedDraws([u])))
+            if us[-1] >= cdf[-1]:
+                past += 1
+                assert want[-1] == max(np.flatnonzero(d.probs))
+        assert past == 2
+        got = sample_rows(probs, np.cumsum(probs, axis=1), np.array(rows), np.array(us))
+        assert got.tolist() == want
+
+
 class TestMakeRng:
     """Every key seeds the stream ``np.random.default_rng`` gives it, whether
     or not ``make_rng`` passes it on as 32-bit words."""
@@ -420,22 +447,20 @@ class TestKeyedStreams:
             assert self.bits(lane) == self.bits(make_rng(k).random(BLOCK + 17))
 
     def test_word_rows_seed_without_make_rng(self, monkeypatch):
-        # A uint32 array of 4-part keys, and a list of 4-tuples of 32-bit
-        # ints, are seeded in the batch: make_rng is never called.
+        # A uint32 array of 4-part keys is seeded in the batch: make_rng is
+        # never called.
         gen = make_rng(31)
         words = gen.integers(0, 2 ** 32, size=(300, 4), dtype=np.uint64)
         words[:4] = [[0] * 4, [2 ** 32 - 1] * 4, [0, 2 ** 32 - 1, 0, 1],
                      [2 ** 32 - 1, 0, 5, 0x0AC1E]]
-        keys = [tuple(int(w) for w in row) for row in words]
-        want = [make_rng(k).random(90) for k in keys]
+        want = [make_rng(tuple(int(w) for w in row)).random(90) for row in words]
 
         def no_make_rng(key):
             raise AssertionError(f"make_rng({key!r}) called")
 
         monkeypatch.setattr(dist_module, "make_rng", no_make_rng)
-        for batch in (words.astype(np.uint32), keys):
-            got = lane_draws(KeyedStreams(batch), 90)
-            assert self.bits(got) == self.bits(want)
+        got = lane_draws(KeyedStreams(words.astype(np.uint32)), 90)
+        assert self.bits(got) == self.bits(want)
 
     @pytest.mark.parametrize("keys", [[], np.empty((0, 4), np.uint32)],
                              ids=["list", "array"])

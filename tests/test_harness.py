@@ -20,8 +20,7 @@ from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              exact_sequence_probs, kl_trace,
                              oracle_draft_length, oracle_length_stats,
                              oracle_lengths, round_csv_rows, run_experiment,
-                             sample_rows, sorted_logprob_profile,
-                             summarize_experiment)
+                             sorted_logprob_profile, summarize_experiment)
 from speclab.models import (AutoregressiveModel, TabularModel, context_index,
                             context_space, random_tabular, tabular_from_spec,
                             temper)
@@ -201,21 +200,6 @@ class TestOracleLengths:
                               (*prefixes[d], r, harness_module._ORACLE_SALT), cap)
                 for d, r, prefix in lanes]
         assert got.tolist() == want
-
-    def test_token_choice_same_as_sample_past_the_last_cdf_value(self):
-        # Ten 0.1s sum to 1 - 2**-53: uniforms at every cumulative value and
-        # above the last one, including those past it by roundoff.
-        rows = [Distribution([0.1] * 10), Distribution([0.0, 0.5, 0.5, 0.0]),
-                Distribution([0.5, 0.5 - 1e-10, 0.0, 0.0])]
-        for d in rows:
-            cdf = np.cumsum(d.probs).tolist()
-            us = [0.0, *cdf, np.nextafter(cdf[-1], 1.0), 1.0 - 1e-11, 1.0 - 2 ** -53]
-            us = [u for u in us if u < 1.0]
-            want = [sample(d, FixedDraws([u])) for u in us]
-            got = sample_rows(d.probs[None, :], np.zeros(len(us), dtype=int),
-                              np.array(us))
-            assert got.tolist() == want
-        assert cdf[-1] < 1.0 - 1e-11 and want[-1] == 1
 
     def test_rows_read_once_per_context_and_left_unmemoised(self):
         target = random_tabular(3, 2, make_rng(63), spiky_fraction=0.5)
