@@ -27,5 +27,5 @@ from .harness import (ROUND_CSV_FIELDS, CostModel, EquivalenceResult,
                       ExperimentConfig, ExperimentReport, entropy_stats,
                       equivalence_test, estimated_speedup,
                       exact_sequence_probs, kl_trace, oracle_draft_length,
-                      oracle_length_stats, round_csv_rows, run_experiment,
+                      oracle_length_stats, round_csv_columns, run_experiment,
                       sorted_logprob_profile)

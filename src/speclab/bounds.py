@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import Distribution, Rng, cross_entropy, entropy, kl_divergence, tvd
+from .dist import (Distribution, Rng, cross_entropy, distribution_rows, entropy,
+                   kl_divergence, tvd)
 
 _EPS = 1e-15
 _FPMIN = 1e-300
@@ -196,26 +197,40 @@ def fit_gamma_ratio(samples: Sequence[float]) -> GammaFit:
 
 def sample_pair(vocab_size: int, rng: Rng, kind: str = "independent",
                 tau: float = 2.0, eps: float = 0.1):
-    """Random (p, q) pair for property suites.
+    """One random (p, q) pair: ``sample_pairs`` with ``count`` 1."""
+    return sample_pairs(vocab_size, rng, 1, kind, tau, eps)[0]
+
+
+def sample_pairs(vocab_size: int, rng: Rng, count: int,
+                 kind: str = "independent", tau: float = 2.0,
+                 eps: float = 0.1) -> list[tuple[Distribution, Distribution]]:
+    """``count`` random (p, q) pairs for property suites, drawn as one stack.
 
     p is symmetric Dirichlet(1); q is either an independent draw (far pairs)
-    or a tempered/mixed variant of p (near pairs).
+    or a tempered/mixed variant of p (near pairs). With alpha all ones,
+    numpy's ``dirichlet`` fills a stack row by row, each row the values one
+    call would give, and the power, row sum and eps-mix act on each row as
+    on the row alone. So the pairs and the generator's end state are those
+    of ``count`` one-pair draws (p, then q for ``independent``). Rows are
+    checked once, as a stack.
     """
-    p = Distribution(rng.dirichlet(np.ones(vocab_size)))
+    ones = np.ones(vocab_size)
     if kind == "independent":
-        q = Distribution(rng.dirichlet(np.ones(vocab_size)))
+        rows = rng.dirichlet(ones, size=2 * count)  # p, q, p, q, ...
     elif kind == "tempered":
+        p = rng.dirichlet(ones, size=count)
         if tau == 1.0:
-            w = p.probs
+            w = p
         else:
-            w = p.probs ** (1.0 / tau)
-            w = w / w.sum()
+            w = p ** (1.0 / tau)
+            w /= w.sum(axis=1, keepdims=True)
         if eps > 0.0:
             w = (1.0 - eps) * w + eps / vocab_size
-        q = Distribution(w)
+        rows = np.concatenate((p, w), axis=1).reshape(2 * count, vocab_size)
     else:
         raise ValueError(f"unknown pair kind: {kind!r}")
-    return p, q
+    dists = distribution_rows(rows)
+    return list(zip(dists[0::2], dists[1::2]))
 
 
 @dataclass

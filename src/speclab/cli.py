@@ -10,23 +10,22 @@ atomically.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from typing import Callable
+from types import NoneType
+from typing import Callable, Sequence
 
 from . import __version__
-from .bounds import BoundReport, bound_report, sample_pair, validity_condition
+from .bounds import BoundReport, bound_report, sample_pairs, validity_condition
 from .dist import make_rng
 from .engine import DecodeMode
-from .harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
-                      check_equivalence_size, equivalence_test,
-                      oracle_length_stats, round_csv_rows, run_experiment,
-                      seeded_decodes)
+from .harness import (CostModel, ExperimentConfig, check_equivalence_size,
+                      equivalence_test, oracle_length_stats,
+                      round_csv_columns, run_experiment, seeded_decodes)
 from .models import AutoregressiveModel, tabular_from_spec, temper
 from .policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                        LengthPolicy, SvipConfig, SvipPolicy)
@@ -71,13 +70,49 @@ def write_json(path: str, obj) -> None:
     write_atomic(path, json.dumps(round9(obj), sort_keys=True, indent=2) + "\n")
 
 
-def write_csv(path: str, fieldnames: list[str], rows) -> None:
-    """Header then one line per dict in ``rows``, its values in ``fieldnames``
-    order through ``fmt9``; a missing key is an empty cell."""
+class _Blank:
+    """An empty CSV cell: formats as "" under any format spec."""
+
+    __slots__ = ()
+
+    def __format__(self, spec: str) -> str:
+        return ""
+
+
+_BLANK = _Blank()
+
+
+def _csv_column(values) -> tuple[Sequence, str]:
+    """``values`` as ``str.format`` arguments, with the replacement field
+    that renders each one as ``fmt9`` does. The column's types are read
+    once: ints go through ``{}`` and floats through ``{:.9g}``, with None
+    and NaN as empty cells (``""`` among ints, which formats without a
+    Python call). Any other mix (bools, say) is rendered by ``fmt9`` cell
+    by cell."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values, "{}"
+    if kinds <= {int, NoneType}:
+        return ["" if v is None else v for v in values], "{}"
+    if kinds <= {float, NoneType}:
+        return [_BLANK if v is None or v != v else v for v in values], "{:.9g}"
+    return [fmt9(v) for v in values], "{}"
+
+
+def write_csv(path: str, columns: dict[str, Sequence]) -> None:
+    """A header of the keys of ``columns``, then one line per row of its
+    equal-length value sequences, each cell rendered as ``fmt9`` renders it.
+
+    Each row is one ``str.format`` call, written as it is made. Cells are
+    numbers, booleans or empty, so none needs quoting.
+    """
+    cells, fields = zip(*map(_csv_column, columns.values()))
+    if len(set(map(len, cells))) > 1:
+        raise ValueError("CSV columns differ in length")
+    row = ",".join(fields) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows([fmt9(row.get(k)) for k in fieldnames] for row in rows)
+    buf.write(",".join(columns) + "\n")
+    buf.writelines(map(row.format, *cells))
     write_atomic(path, buf.getvalue())
 
 
@@ -296,8 +331,7 @@ def cmd_decode(cfg: dict, args: argparse.Namespace) -> int:
         tokens = " ".join(str(t) for t in result.output_tokens)
         write_atomic(os.path.join(args.out, f"tokens_seed{seed}_prompt{pi}.txt"),
                      tokens + "\n")
-    write_csv(os.path.join(args.out, "rounds.csv"), ROUND_CSV_FIELDS,
-              round_csv_rows(results))
+    write_csv(os.path.join(args.out, "rounds.csv"), round_csv_columns(results))
     return 0
 
 
@@ -307,8 +341,8 @@ def cmd_experiment(cfg: dict, args: argparse.Namespace) -> int:
     doc["tool_version"] = __version__
     doc["config_echo"] = cfg
     write_json(os.path.join(args.out, "report.json"), doc)
-    write_csv(os.path.join(args.out, "rounds.csv"), ROUND_CSV_FIELDS,
-              round_csv_rows(report.results))
+    write_csv(os.path.join(args.out, "rounds.csv"),
+              round_csv_columns(report.results))
     return 0
 
 
@@ -335,20 +369,19 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     if not 0 <= eps < 1:
         raise ValidationError("pairs.eps: must be in [0, 1)")
 
-    rng = make_rng(seed)
-    reports = []
-    for _ in range(count):
-        p, q = sample_pair(vocab, rng, kind=kind, tau=tau, eps=eps)
-        reports.append(bound_report(p, q, c))
+    reports = [bound_report(p, q, c) for p, q in
+               sample_pairs(vocab, make_rng(seed), count, kind, tau, eps)]
     reports.sort(key=lambda r: r.beta)
-    rows = [{**vars(r), "valid": validity_condition(r.gamma_ratio, c)}
-            for r in reports]
+    valid = [validity_condition(r.gamma_ratio, c) for r in reports]
     if args.format == "json":
+        rows = [{**vars(r), "valid": v} for r, v in zip(reports, valid)]
         write_json(os.path.join(args.out, "bounds.json"),
                    {"c": c, "rows": rows})
     else:
-        fields = [f.name for f in dataclasses.fields(BoundReport)] + ["valid"]
-        write_csv(os.path.join(args.out, "bounds.csv"), fields, rows)
+        columns = {f.name: [getattr(r, f.name) for r in reports]
+                   for f in dataclasses.fields(BoundReport)}
+        columns["valid"] = valid
+        write_csv(os.path.join(args.out, "bounds.csv"), columns)
     return 0
 
 
@@ -393,8 +426,7 @@ def cmd_oracle_stats(cfg: dict, args: argparse.Namespace) -> int:
                "histogram": histogram.tolist()}
     if args.format == "csv":
         write_csv(os.path.join(args.out, "oracle_histogram.csv"),
-                  ["length", "count"],
-                  ({"length": i, "count": int(c)} for i, c in enumerate(histogram)))
+                  {"length": range(len(histogram)), "count": histogram.tolist()})
     write_json(os.path.join(args.out, "oracle_stats.json"), summary)
     return 0
 

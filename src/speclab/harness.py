@@ -484,27 +484,30 @@ def summarize_experiment(config: ExperimentConfig, results: list[DecodeResult],
     )
 
 
-# Columns of rounds.csv, in order; round_csv_rows yields dicts with these keys.
+# Columns of rounds.csv, in order; round_csv_columns returns them under these names.
 ROUND_CSV_FIELDS = ["decode_index", "round_index", "proposed", "accepted",
                     "correction", "bonus", "mean_entropy", "next_entropy"]
 
 
-def round_csv_rows(results: Iterable[DecodeResult]):
-    """One row per round, keyed by ROUND_CSV_FIELDS."""
-    keyed = [(di, rec) for di, result in enumerate(results)
-             for rec in result.rounds]
-    means = _row_means([rec.draft_entropies for _, rec in keyed])
-    for (di, rec), mean_h in zip(keyed, means):
-        yield {
-            "decode_index": di,
-            "round_index": rec.round_index,
-            "proposed": len(rec.proposed_tokens),
-            "accepted": rec.accepted_count,
-            "correction": rec.correction,
-            "bonus": rec.bonus,
-            "mean_entropy": mean_h,
-            "next_entropy": rec.next_entropy,
-        }
+def round_csv_columns(results: Iterable[DecodeResult]) -> dict[str, list]:
+    """rounds.csv as columns keyed by ROUND_CSV_FIELDS, one entry per round:
+    the decode's position in ``results``, then the round's own fields, its
+    proposed length and its mean draft entropy (None for an empty round)."""
+    rounds: list[RoundRecord] = []
+    decode_index: list[int] = []
+    for di, result in enumerate(results):
+        rounds += result.rounds
+        decode_index += [di] * len(result.rounds)
+    return {
+        "decode_index": decode_index,
+        "round_index": [rec.round_index for rec in rounds],
+        "proposed": [len(rec.proposed_tokens) for rec in rounds],
+        "accepted": [rec.accepted_count for rec in rounds],
+        "correction": [rec.correction for rec in rounds],
+        "bonus": [rec.bonus for rec in rounds],
+        "mean_entropy": _row_means([rec.draft_entropies for rec in rounds]),
+        "next_entropy": [rec.next_entropy for rec in rounds],
+    }
 
 
 def _row_means(rows: Sequence[Sequence[float]]) -> list[float | None]:

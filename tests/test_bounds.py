@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from speclab.bounds import (BoundReport, acceptance_rate, approx_bound,
@@ -11,7 +13,7 @@ from speclab.bounds import (BoundReport, acceptance_rate, approx_bound,
                             gamma_validity_prob, gaussian_validity_prob,
                             lower_incomplete_gamma, pinsker_bound,
                             regularized_lower_incomplete_gamma, sample_pair,
-                            validity_condition)
+                            sample_pairs, validity_condition)
 from speclab.dist import (Distribution, cross_entropy, entropy, kl_divergence,
                           make_rng, tvd)
 
@@ -267,3 +269,61 @@ class TestBoundReport:
                 # repr tells -0.0 from 0.0 and matches nan with nan
                 got, want = getattr(rep, name), getattr(expected, name)
                 assert repr(got) == repr(want), name
+
+
+def reference_pair(vocab_size, rng, kind, tau, eps):
+    """The per-pair body ``sample_pair`` ran before pairs were drawn as one
+    stack: two Distribution constructions per pair."""
+    p = Distribution(rng.dirichlet(np.ones(vocab_size)))
+    if kind == "independent":
+        q = Distribution(rng.dirichlet(np.ones(vocab_size)))
+    else:
+        if tau == 1.0:
+            w = p.probs
+        else:
+            w = p.probs ** (1.0 / tau)
+            w = w / w.sum()
+        if eps > 0.0:
+            w = (1.0 - eps) * w + eps / vocab_size
+        q = Distribution(w)
+    return p, q
+
+
+class TestSamplePairs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["independent", "tempered"]),
+           vocab=st.integers(2, 64),
+           tau=st.one_of(st.sampled_from([1.0, 0.5, 2.0, 1.5, 3.0]),
+                         st.floats(0.1, 8.0)),
+           eps=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           count=st.integers(1, 50),
+           seed=st.integers(0, 2**64))
+    def test_stack_equals_per_pair_draws(self, kind, vocab, tau, eps, count, seed):
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        pairs = sample_pairs(vocab, rng, count, kind, tau, eps)
+        want = [reference_pair(vocab, ref_rng, kind, tau, eps)
+                for _ in range(count)]
+        assert len(pairs) == count
+        for (p, q), (ref_p, ref_q) in zip(pairs, want):
+            assert p.probs.tobytes() == ref_p.probs.tobytes()
+            assert q.probs.tobytes() == ref_q.probs.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["independent", "tempered"])
+    def test_one_pair_case(self, kind):
+        rng, ref_rng = make_rng(3), make_rng(3)
+        p, q = sample_pair(7, rng, kind, 1.5, 0.2)
+        ref_p, ref_q = reference_pair(7, ref_rng, kind, 1.5, 0.2)
+        assert p.probs.tobytes() == ref_p.probs.tobytes()
+        assert q.probs.tobytes() == ref_q.probs.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rows_are_read_only_distributions(self):
+        for p, q in sample_pairs(5, make_rng(4), 3, "tempered", 2.0, 0.1):
+            for d in (p, q):
+                assert not d.probs.flags.writeable
+                assert abs(d.probs.sum() - 1.0) <= 1e-12
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown pair kind"):
+            sample_pairs(4, make_rng(5), 2, "mirrored")

@@ -6,9 +6,18 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
+import csv
+import io
+import math
 
-from speclab.cli import main
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from speclab.cli import fmt9, main, write_csv
+from speclab.engine import DecodeResult, RoundRecord
+from speclab.harness import ROUND_CSV_FIELDS, round_csv_columns
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -504,3 +513,90 @@ class TestEntryPoint:
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+
+def reference_round_rows(results):
+    """rounds.csv as one dict per round, the form the CSV was built from
+    before it was written from columns."""
+    for di, result in enumerate(results):
+        for rec in result.rounds:
+            yield {
+                "decode_index": di,
+                "round_index": rec.round_index,
+                "proposed": len(rec.proposed_tokens),
+                "accepted": rec.accepted_count,
+                "correction": rec.correction,
+                "bonus": rec.bonus,
+                "mean_entropy": (float(np.mean(rec.draft_entropies))
+                                 if rec.draft_entropies else None),
+                "next_entropy": rec.next_entropy,
+            }
+
+
+def reference_csv(fieldnames, rows) -> bytes:
+    """The dict + ``fmt9`` + ``csv.writer`` path ``write_csv`` replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([fmt9(row.get(k)) for k in fieldnames] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+# Floats that print in exponent form, zero, and ordinary entropies.
+CSV_FLOATS = st.one_of(st.sampled_from([0.0, 1e-10, 5e-324, 2.5e-5, 1e16,
+                                        123456789.0, 1.0]),
+                       st.floats(0.0, 5.0))
+
+
+@st.composite
+def round_records(draw):
+    n = draw(st.integers(0, 6))  # 0: an empty round, mean entropy None
+    return RoundRecord(
+        round_index=draw(st.integers(0, 10**10)), start_len=1,
+        proposed_tokens=[0] * n,
+        draft_entropies=draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)),
+        next_entropy=draw(st.none() | CSV_FLOATS),
+        accepted_count=draw(st.integers(0, n)),
+        correction=draw(st.none() | st.integers(0, 40)),
+        bonus=draw(st.none() | st.integers(0, 40)))
+
+
+class TestCsvWriter:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(round_records(), max_size=8), max_size=3))
+    def test_rounds_csv_bytes_match_row_writer(self, tmp_path_factory, decodes):
+        results = [DecodeResult([0], 1, rounds) for rounds in decodes]
+        path = tmp_path_factory.mktemp("rounds") / "rounds.csv"
+        write_csv(str(path), round_csv_columns(results))
+        assert path.read_bytes() == reference_csv(
+            ROUND_CSV_FIELDS, reference_round_rows(results))
+
+    def test_every_cell_kind_matches_fmt9(self, tmp_path):
+        columns = {
+            "ints": [0, -3, 10**9, 2**70],
+            "ints_or_none": [None, 1, None, 10**12],
+            "floats": [math.nan, math.inf, -0.0, 5e-324],
+            "floats_or_none": [None, 1e-10, math.nan, 0.1 + 0.2],
+            "bools": [True, False, True, False],
+            "mixed": [1, 2.5, None, np.float64(1e-7)],
+            "numpy": [np.float64(0.5), np.int64(7), np.float64(math.nan), None],
+            "blank": [None] * 4,
+        }
+        path = tmp_path / "t.csv"
+        write_csv(str(path), columns)
+        rows = [dict(zip(columns, vals)) for vals in zip(*columns.values())]
+        assert path.read_bytes() == reference_csv(list(columns), rows)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "0,,,,true,1,0.5,"  # NaN and None are empty
+        assert lines[3] == "1000000000,,-0,,true,,,"
+        assert lines[4] == ("1180591620717411303424,1000000000000,4.94065646e-324,"
+                            "0.3,false,1e-07,,")
+
+    def test_header_only_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), {"length": range(0), "count": []})
+        assert path.read_bytes() == b"length,count\n"
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(str(tmp_path / "t.csv"), {"a": [1, 2], "b": [1]})

@@ -1,11 +1,13 @@
 """Byte-identical CLI outputs: the sha256 of every file that the shipped
-experiment, oracle-stats and bounds-eval configs, one greedy decode and one
-sampling decode write.
+experiment, oracle-stats and bounds-eval configs, one tempered bounds-eval,
+one greedy decode and one sampling decode write.
 
 The digests were recorded while models were still looked up by context tuple,
 before the engine carried a context index. The sampling decode's were
 recorded while each uniform was drawn by its own ``rng.random()`` call; its
-299-token decodes now fetch them in blocks. A change that means to alter
+299-token decodes now fetch them in blocks. The tempered ``bounds-eval``
+digests were recorded while each pair was still drawn by its own
+``dirichlet`` call, before the pairs were drawn as one stack. A change that means to alter
 outputs must say why and record them again. ``equivalence.json`` is left out,
 since acceptance criterion 5 already runs its 200k decodes; a 10k-decode run
 of the same pair at horizon 2 pins ``verdict.json`` and the verdict line
@@ -36,6 +38,11 @@ SAMPLING_DECODE = {
     "mode": "sampling", "policy": {"kind": "svip", "h": 0.85},
     "horizon": 300, "prompts": [[1], [2]], "seeds": [5, 6],
 }
+TEMPERED_BOUNDS = {
+    "pairs": {"count": 500, "vocab": 16, "seed": 11, "kind": "tempered",
+              "tau": 1.5, "eps": 0.05},
+    "c": 0.18,
+}
 SMALL_EQUIVALENCE = {
     "target_spec": "configs/segmented_target.json",
     "draft_spec": {"temper": {"tau": 2.0, "eps": 0.1}},
@@ -44,7 +51,7 @@ SMALL_EQUIVALENCE = {
     "threshold": 0.01,
 }
 
-# name -> (command, config file or decode config, --format, {file: sha256})
+# name -> (command, config file or config dict, --format, {file: sha256})
 RUNS = {
     "experiment_constant5": ("experiment", "configs/experiment_constant5.json", "csv", {
         "report.json": "e75606a7d8bab0862feec575241ca36e3ccb958b8ff539a8fc451fb908e9b706",
@@ -68,6 +75,12 @@ RUNS = {
     "bounds_eval_json": ("bounds-eval", "configs/bounds_eval.json", "json", {
         "bounds.json": "19c87ec47ef7774703637d3996d56d4d8e792f6b0480f964dfc5e7cfdf0822bc",
     }),
+    "bounds_eval_tempered_csv": ("bounds-eval", TEMPERED_BOUNDS, "csv", {
+        "bounds.csv": "60f086cfc613092a97d37e1a6411f0b699c32a1e1d0f4793404b7e3f08addfc0",
+    }),
+    "bounds_eval_tempered_json": ("bounds-eval", TEMPERED_BOUNDS, "json", {
+        "bounds.json": "baf6366e77d784df667170670ba2c03d4b20f94fc57dc6790a41d5c3bad45635",
+    }),
     "decode_greedy_heuristic": ("decode", GREEDY_DECODE, "csv", {
         "rounds.csv": "591f68d0339e34ca35d4dd35a445c75c114d007a0e521f77b5ef46df57745ee4",
         "tokens_seed5_prompt0.txt": "b4e5ca12273e35d777771ad88d642d659fa9d52bdd3e742978145a74b28682f3",
@@ -87,7 +100,7 @@ RUNS = {
 def test_outputs_match_recorded_digests(tmp_path, monkeypatch, name):
     command, config, fmt, digests = RUNS[name]
     if isinstance(config, dict):
-        path = tmp_path / "decode.json"
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         config = path
     monkeypatch.chdir(ROOT)  # configs name the model file relative to the root

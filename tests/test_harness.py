@@ -19,7 +19,7 @@ from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              entropy_stats, equivalence_test, estimated_speedup,
                              exact_sequence_probs, kl_trace,
                              oracle_draft_length, oracle_length_stats,
-                             oracle_lengths, round_csv_rows, run_experiment,
+                             oracle_lengths, round_csv_columns, run_experiment,
                              sorted_logprob_profile, summarize_experiment)
 from speclab.models import (AutoregressiveModel, TabularModel, context_index,
                             context_space, random_tabular, tabular_from_spec,
@@ -621,13 +621,13 @@ class TestRunExperiment:
 
     def test_round_csv_rows_shape(self, report):
         _, rep = report
-        rows = list(round_csv_rows(rep.results))
-        assert len(rows) == rep.total_rounds
+        columns = round_csv_columns(rep.results)
         assert ROUND_CSV_FIELDS == ["decode_index", "round_index", "proposed",
                                     "accepted", "correction", "bonus",
                                     "mean_entropy", "next_entropy"]
-        for row in rows:
-            assert list(row) == ROUND_CSV_FIELDS
+        assert list(columns) == ROUND_CSV_FIELDS
+        for column in columns.values():
+            assert len(column) == rep.total_rounds
 
     def test_round_csv_mean_entropy_bit_identical(self):
         # Means are taken per group of equal length; each must equal the
@@ -641,13 +641,12 @@ class TestRunExperiment:
                                       None, 0, None, 0))
         results = [DecodeResult([0], 1, rounds[:300]),
                    DecodeResult([0], 1, rounds[300:])]
-        rows = list(round_csv_rows(results))
-        assert [(r["decode_index"], r["round_index"]) for r in rows] == [
+        columns = round_csv_columns(results)
+        assert list(zip(columns["decode_index"], columns["round_index"])) == [
             (i // 300, i % 300) for i in range(600)]
         want = [float(np.mean(rec.draft_entropies)).hex()
                 if rec.draft_entropies else None for rec in rounds]
-        got = [None if r["mean_entropy"] is None else r["mean_entropy"].hex()
-               for r in rows]
+        got = [None if m is None else m.hex() for m in columns["mean_entropy"]]
         assert got == want
 
     def test_jsonable_round_trip_fields(self, report):
