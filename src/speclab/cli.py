@@ -160,24 +160,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_config(path: str) -> dict:
+def read_input(path: str, field: str, parse: Callable[[str], object]):
+    """``parse`` of the UTF-8 text of the file at ``path``. A file that cannot
+    be opened, read, decoded or parsed is a ``ValidationError`` led by
+    ``field`` and ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return parse(f.read())
     except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
+        raise ValidationError(f"{field}: file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}")
+        raise ValidationError(f"{field}: {path} is not valid JSON: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"{field}: {path}: {exc}")
+
+
+def load_config(path: str) -> dict:
+    return read_input(path, "--config", json.loads)
 
 
 def load_model_spec(path: str, field: str) -> AutoregressiveModel:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise ValidationError(f"{field}: model file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{field}: {path} is not valid JSON: {exc}")
+    doc = read_input(path, field, json.loads)
     try:
         return tabular_from_spec(doc)
     except ValueError as exc:
@@ -242,21 +245,18 @@ def parse_policy(cfg: dict) -> tuple[Callable[[], LengthPolicy], str]:
 def parse_prompts(cfg: dict, vocab_size: int) -> list[list[int]]:
     prompts = _get(cfg, "prompts")
     if isinstance(prompts, dict) and "file" in prompts:
-        path = _get(cfg, "prompts.file", expect=str)
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                lines = [ln for ln in f.read().splitlines() if ln.strip()]
-        except FileNotFoundError:
-            raise ValidationError(f"prompts.file: file not found: {path}")
-        try:
-            prompts = [[int(t) for t in ln.split()] for ln in lines]
-        except ValueError as exc:
-            raise ValidationError(f"prompts.file: {path}: {exc}")
+        prompts = read_input(_get(cfg, "prompts.file", expect=str),
+                             "prompts.file", _token_lines)
     if not isinstance(prompts, list) or not prompts:
         raise ValidationError("prompts: expected a non-empty list of token lists")
     for i, prompt in enumerate(prompts):
         parse_prompt(prompt, f"prompts[{i}]", vocab_size)
     return prompts
+
+
+def _token_lines(text: str) -> list[list[int]]:
+    """One prompt per non-blank line of whitespace-separated integers."""
+    return [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()]
 
 
 def parse_prompt(prompt, path: str, vocab_size: int) -> list[int]:
@@ -312,15 +312,18 @@ def parse_experiment(cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
     prompts = parse_prompts(cfg, target.vocab_size)
     seeds = parse_seeds(cfg, args.seed_override)
     horizon = parse_horizon(cfg, prompts)
+    default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     return ExperimentConfig(
         target=target, draft=draft,
         policy_factory=policy_factory, policy_label=policy_label,
         mode=mode, horizon=horizon, prompts=prompts, seeds=seeds,
         cost_model=parse_cost_model(cfg),
         oracle_cap=_get_count(cfg, "oracle_cap", required=False,
-                              default=DEFAULT_CAP),
-        kl_window=_get_count(cfg, "kl_window", required=False, default=4),
-        label=_get(cfg, "label", expect=str, required=False, default=""),
+                              default=default["oracle_cap"]),
+        kl_window=_get_count(cfg, "kl_window", required=False,
+                             default=default["kl_window"]),
+        label=_get(cfg, "label", expect=str, required=False,
+                   default=default["label"]),
     )
 
 

@@ -24,18 +24,7 @@ def make_rng(seed) -> Rng:
 
     ``seed`` may be an int or a sequence of ints; sequences give cheap
     independent sub-streams (e.g. ``make_rng((seed, run_index))``).
-
-    A tuple of plain ints in [0, 2**32) is passed as the ``uint32`` array of
-    its parts: exactly the words ``SeedSequence`` splits those ints into, so
-    the stream is the same, and seeding skips ``SeedSequence``'s conversion
-    of each int on its own. Any other seed is passed as it is.
     """
-    if type(seed) is tuple:
-        for s in seed:
-            if type(s) is not int or not 0 <= s < 0x1_0000_0000:
-                break
-        else:
-            seed = np.array(seed, dtype=np.uint32)
     return np.random.default_rng(seed)
 
 

@@ -28,12 +28,15 @@ class RoundRecord:
 
     ``start_len`` is the output length when the round began, so the exact
     context of proposed position j is output_tokens[:start_len] +
-    proposed_tokens[:j]. ``next_entropy`` is the probed next-token draft
-    entropy that ended drafting (None when the round ended at a length cap).
+    proposed_tokens[:j]; ``start_index`` is the ``context_index`` of that
+    start over the pair's widest window. ``next_entropy`` is the probed
+    next-token draft entropy that ended drafting (None when the round ended
+    at a length cap).
     """
 
     round_index: int
     start_len: int
+    start_index: int
     proposed_tokens: list[int]
     draft_entropies: list[float]
     next_entropy: float | None
@@ -198,8 +201,9 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
         out.append(last)
         index = (indices[accepted] * radix + last + 1) % span
 
-        rounds.append(RoundRecord(len(rounds), start_len, proposed, entropies,
-                                  next_entropy, accepted, correction, bonus))
+        rounds.append(RoundRecord(len(rounds), start_len, indices[0], proposed,
+                                  entropies, next_entropy, accepted, correction,
+                                  bonus))
         if proposed:
             on_round_end(len(proposed), accepted, correction is None)
 

@@ -19,7 +19,7 @@ from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decod
                      check_pair, speculative_decode, verify_greedy,
                      verify_sampling)
 from .models import AutoregressiveModel, context_index
-from .policies import LengthPolicy
+from .policies import DEFAULT_CAP, LengthPolicy
 
 # Salt mixed into forked oracle rng streams so they never collide with the
 # decode session stream derived from the same seed.
@@ -145,18 +145,16 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
     check_pair(target, draft)
     sums = np.zeros(window + 1)
     counts = np.zeros(window + 1, dtype=int)
-    width = max(target.context_order, draft.context_order)
     radix = target.vocab_size + 1
-    span = radix ** width
+    span = radix ** max(target.context_order, draft.context_order)
     kls: dict[int, float] = {}  # KL(q||p) by the context index naming both rows
     for result in results:
-        out = result.output_tokens
         for rec in result.rounds:
             if rec.correction is None:
                 continue
             reject_idx = rec.accepted_count
             # Context index of every position up to the rejected one.
-            indices = [context_index(out, rec.start_len, target.vocab_size, width)]
+            indices = [rec.start_index]
             for token in rec.proposed_tokens[:reject_idx]:
                 indices.append((indices[-1] * radix + token + 1) % span)
             for j in range(window + 1):
@@ -272,7 +270,7 @@ class ExperimentConfig:
     prompts: Sequence[Sequence[int]]
     seeds: Sequence[int]
     cost_model: CostModel = field(default_factory=CostModel)
-    oracle_cap: int = 40
+    oracle_cap: int = DEFAULT_CAP
     kl_window: int = 4
     label: str = ""
 
@@ -321,31 +319,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Each round's oracle length is re-simulated from its start context, under
     sampling with the stream of ``make_rng((seed, pi, round_index,
-    _ORACLE_SALT))``, so reports are reproducible. The rounds' start context
-    indices and keys are collected as integer columns while the decodes
+    _ORACLE_SALT))``, so reports are reproducible. The rounds' keys and the
+    ``start_index`` each record holds are collected while the decodes
     arrive, and ``oracle_lengths`` runs every oracle of the experiment as one
     batch; a greedy oracle draws nothing and gets no streams.
     """
     results: list[DecodeResult] = []
-    target, draft = config.target, config.draft
-    width = max(target.context_order, draft.context_order)
     prefixes: list[tuple[int, int]] = []  # (seed, pi) of each decode
     decode_of, round_of, proposed = array("I"), array("I"), array("I")
-    starts = array("q") if (target.vocab_size + 1) ** width < 2 ** 63 else []
+    starts: list[int] = []
     for seed, pi, result in seeded_decodes(config):
-        out = result.output_tokens
         for rec in result.rounds:
             if rec.proposed_tokens:
                 decode_of.append(len(results))
                 round_of.append(rec.round_index)
                 proposed.append(len(rec.proposed_tokens))
-                starts.append(context_index(out, rec.start_len, target.vocab_size, width))
+                starts.append(rec.start_index)
         prefixes.append((seed, pi))
         results.append(result)
     streams = None
     if config.mode is not DecodeMode.GREEDY:
         streams = KeyedStreams(_oracle_keys(prefixes, decode_of, round_of))
-    oracle = oracle_lengths(target, draft, starts, config.mode, streams, config.oracle_cap)
+    oracle = oracle_lengths(config.target, config.draft, starts, config.mode,
+                            streams, config.oracle_cap)
     deltas = np.frombuffer(proposed, np.uint32).astype(np.int64) - oracle
     return summarize_experiment(config, results, deltas)
 

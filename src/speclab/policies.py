@@ -47,6 +47,8 @@ class HeuristicPolicy(LengthPolicy):
     """
 
     def __init__(self, init: int = 5, cap: int = DEFAULT_CAP):
+        if cap < 1:
+            raise ValueError("invalid length: cap must be >= 1")
         if not 1 <= init <= cap:
             raise ValueError(f"invalid length: init must be in [1, {cap}]")
         self.cap = cap

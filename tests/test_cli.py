@@ -242,6 +242,33 @@ class TestMalformedConfig:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: prompts.file:")
 
+    @pytest.mark.parametrize("field", ["--config", "target_spec", "prompts.file"])
+    @pytest.mark.parametrize("fault", ["directory", "non-utf8"])
+    def test_unreadable_input_file(self, tmp_path, target_spec, capsys, field,
+                                   fault):
+        bad = tmp_path / "bad"
+        if fault == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"vocab_size": 3, "label": "\xff"}\n0 1\n')
+        if field == "--config":
+            cfg = str(bad)
+        elif field == "target_spec":
+            cfg = decode_config(tmp_path, target_spec=str(bad))
+        else:
+            cfg = decode_config(tmp_path, target_spec, prompts={"file": str(bad)})
+        assert main(["decode", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: {bad}")
+
+    def test_too_deeply_nested_config(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000)
+        assert main(["decode", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: --config: {cfg}")
+
     def test_label_names_the_k_that_runs(self, tmp_path, target_spec):
         cfg = decode_config(tmp_path, target_spec,
                             policy={"kind": "constant", "k": 50})
@@ -552,7 +579,7 @@ CSV_FLOATS = st.one_of(st.sampled_from([0.0, 1e-10, 5e-324, 2.5e-5, 1e16,
 def round_records(draw):
     n = draw(st.integers(0, 6))  # 0: an empty round, mean entropy None
     return RoundRecord(
-        round_index=draw(st.integers(0, 10**10)), start_len=1,
+        round_index=draw(st.integers(0, 10**10)), start_len=1, start_index=0,
         proposed_tokens=[0] * n,
         draft_entropies=draw(st.lists(CSV_FLOATS, min_size=n, max_size=n)),
         next_entropy=draw(st.none() | CSV_FLOATS),

@@ -61,8 +61,10 @@ class Recording(AutoregressiveModel):
 
 def reference_decode(target, draft, prompt, max_len, policy, mode, rng):
     """``speculative_decode`` as a loop that hands every model call the whole
-    prefix (``next_distribution(out + proposed[:j])``)."""
+    prefix (``next_distribution(out + proposed[:j])``); each record's
+    ``start_index`` is the ``context_index`` of its start in the output."""
     greedy = mode is GREEDY
+    width = max(target.context_order, draft.context_order)
     out = list(prompt)
     result = DecodeResult(output_tokens=out, prompt_len=len(prompt))
     while len(out) < max_len:
@@ -108,6 +110,7 @@ def reference_decode(target, draft, prompt, max_len, policy, mode, rng):
             out.append(bonus)
         result.rounds.append(RoundRecord(
             round_index=len(result.rounds), start_len=start_len,
+            start_index=context_index(out, start_len, target.vocab_size, width),
             proposed_tokens=proposed, draft_entropies=entropies,
             next_entropy=next_entropy, accepted_count=accepted,
             correction=correction, bonus=bonus))
@@ -448,6 +451,23 @@ class TestTrailingContext:
         assert res.output_tokens == ref.output_tokens
         assert res.rounds == ref.rounds
         assert res == ref
+
+        # Every round, the final bonus-only one too, records the index of
+        # its start context over the widest window.
+        out = res.output_tokens
+        assert [rec.start_index for rec in res.rounds] == [
+            context_index(out, rec.start_len, 4, 3) for rec in res.rounds]
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    def test_bonus_only_round_records_its_start(self, mode):
+        target = random_tabular(4, 2, make_rng(51))
+        draft = temper(random_tabular(4, 3, make_rng(52)), 2.0, 0.1)
+        prompt = [3, 0, 2, 1]
+        res = speculative_decode(target, draft, prompt, len(prompt) + 1,
+                                 ConstantPolicy(5), mode, make_rng(53))
+        [rec] = res.rounds
+        assert rec.proposed_tokens == [] and rec.bonus is not None
+        assert rec.start_index == context_index(prompt, len(prompt), 4, 3)
 
     def test_order_zero_models_get_only_proposals(self):
         target = order0([0.5, 0.3, 0.2])

@@ -294,21 +294,21 @@ class TestOracleLengthStats:
 
 class TestEntropyStats:
     def test_single_round_bookkeeping(self):
-        rec = RoundRecord(0, 1, [0, 1], [0.1, 0.9], None, 1, correction=5,
+        rec = RoundRecord(0, 1, 0, [0, 1], [0.1, 0.9], None, 1, correction=5,
                           bonus=None)
         acc, rej = entropy_stats([rec])
         assert acc == pytest.approx(0.1)
         assert rej == pytest.approx(0.9)
 
     def test_all_accepted_leaves_rejected_undefined(self):
-        rec = RoundRecord(0, 1, [0, 1], [0.1, 0.2], None, 2, correction=None,
+        rec = RoundRecord(0, 1, 0, [0, 1], [0.1, 0.2], None, 2, correction=None,
                           bonus=3)
         acc, rej = entropy_stats([rec])
         assert acc == pytest.approx(0.15)
         assert rej is None
 
     def test_discarded_tail_excluded(self):
-        rec = RoundRecord(0, 1, [0, 1, 2, 3], [0.1, 0.9, 0.4, 0.5], None, 1,
+        rec = RoundRecord(0, 1, 0, [0, 1, 2, 3], [0.1, 0.9, 0.4, 0.5], None, 1,
                           correction=7, bonus=None)
         acc, rej = entropy_stats([rec])
         assert acc == pytest.approx(0.1)
@@ -636,7 +636,7 @@ class TestRunExperiment:
         rounds = []
         for i in range(600):
             n = int(gen.integers(1, 41)) if i % 7 else 0
-            rounds.append(RoundRecord(i % 300, 0, [0] * n,
+            rounds.append(RoundRecord(i % 300, 0, 0, [0] * n,
                                       (gen.random(n) * math.log(3)).tolist(),
                                       None, 0, None, 0))
         results = [DecodeResult([0], 1, rounds[:300]),
@@ -660,6 +660,25 @@ class TestRunExperiment:
         config, rep = report
         again = summarize_experiment(config, rep.results, [0.0])
         assert again.accept_rate == rep.accept_rate
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    def test_round_starts_read_from_records(self, report, monkeypatch, mode):
+        # The oracle batch and the KL trace start from each record's
+        # start_index and derive no context index from the output. An
+        # unrelated draft makes both modes reject.
+        config = dataclasses.replace(report[0], mode=mode,
+                                     draft=random_tabular(6, 1, make_rng(26)))
+        want = run_experiment(config)
+
+        def no_context_index(*args):
+            raise AssertionError("context_index called")
+
+        monkeypatch.setattr(harness_module, "context_index", no_context_index)
+        got = run_experiment(config)
+        assert got.to_jsonable() == want.to_jsonable()
+        trace = kl_trace(config.target, config.draft, got.results, 3)
+        np.testing.assert_array_equal(trace, want.kl_trace[:4])
+        assert not np.isnan(trace[0])
 
     def test_greedy_seeds_one_generator_per_decode(self, report, monkeypatch):
         config, _ = report

@@ -91,6 +91,10 @@ class TestHeuristicPolicy:
         with pytest.raises(ValueError, match="invalid length"):
             HeuristicPolicy(41, 40)
 
+    def test_invalid_cap_named(self):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            HeuristicPolicy(5, cap=0)
+
     def test_trajectory_reproducible_from_outcomes(self):
         target = random_tabular(5, 1, make_rng(5))
         draft = temper(target, 2.5, 0.15)
