@@ -26,7 +26,8 @@ from .engine import DecodeMode
 from .harness import (CostModel, ExperimentConfig, check_equivalence_size,
                       equivalence_test, oracle_length_stats,
                       round_csv_columns, run_experiment, seeded_decodes)
-from .models import AutoregressiveModel, tabular_from_spec, temper
+from .models import (AutoregressiveModel, context_window, tabular_from_spec,
+                     temper)
 from .policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                        LengthPolicy, SvipConfig, SvipPolicy)
 
@@ -192,6 +193,10 @@ def parse_models(cfg: dict):
     draft_spec = _get(cfg, "draft_spec")
     if isinstance(draft_spec, str):
         draft = load_model_spec(draft_spec, "draft_spec")
+        try:
+            context_window(target, draft)
+        except ValueError as exc:
+            raise ValidationError(f"draft_spec: {exc}")
     elif isinstance(draft_spec, dict) and "temper" in draft_spec:
         tau = _get(draft_spec, "temper.tau", expect=(int, float))
         eps = _get(draft_spec, "temper.eps", expect=(int, float),
@@ -202,10 +207,6 @@ def parse_models(cfg: dict):
             raise ValidationError(f"draft_spec.temper: {exc}")
     else:
         raise ValidationError("draft_spec: expected a path or {'temper': {...}}")
-    if target.vocab_size != draft.vocab_size:
-        raise ValidationError(
-            f"draft_spec: vocab {draft.vocab_size} does not match target "
-            f"{target.vocab_size}")
     return target, draft
 
 
@@ -476,7 +477,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out: {exc}")
         return _COMMANDS[args.command](cfg, args)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

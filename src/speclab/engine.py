@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .dist import (BLOCK, Distribution, Rng, Uniforms, argmax, entropy,
                    residual, sample)
-from .models import AutoregressiveModel, context_index
+from .models import AutoregressiveModel, context_index, context_window
 from .policies import LengthPolicy
 
 
@@ -22,7 +22,7 @@ class DecodeMode(Enum):
     GREEDY = "greedy"
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """Trace of one draft round.
 
@@ -30,8 +30,9 @@ class RoundRecord:
     context of proposed position j is output_tokens[:start_len] +
     proposed_tokens[:j]; ``start_index`` is the ``context_index`` of that
     start over the pair's widest window. ``next_entropy`` is the probed
-    next-token draft entropy that ended drafting (None when the round ended
-    at a length cap).
+    next-token draft entropy at which the policy stopped drafting, its own
+    length cap included; it is None when the horizon cut drafting short or
+    the round is bonus-only.
     """
 
     round_index: int
@@ -45,7 +46,7 @@ class RoundRecord:
     bonus: int | None
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeResult:
     output_tokens: list[int]
     prompt_len: int
@@ -89,11 +90,10 @@ def autoregressive_decode(target: AutoregressiveModel, prompt: Sequence[int],
     """Target-model-only baseline: one token at a time up to ``max_len``."""
     _check_prompt(prompt, max_len, target.vocab_size)
     greedy = mode is DecodeMode.GREEDY
-    radix = target.vocab_size + 1
-    span = radix ** target.context_order
+    radix, width, span = context_window(target)
     row = target.row
     out = list(prompt)
-    index = context_index(out, len(out), target.vocab_size, target.context_order)
+    index = context_index(out, len(out), target.vocab_size, width)
     while len(out) < max_len:
         d = row(index)
         token = argmax(d) if greedy else sample(d, rng)
@@ -132,12 +132,9 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     go at the start of each round: the draws, and where ``rng`` ends, are
     those of per-call draws.
     """
-    check_pair(target, draft)
+    radix, width, span = context_window(target, draft)
     _check_prompt(prompt, max_len, target.vocab_size)
     greedy = mode is DecodeMode.GREEDY
-    width = max(target.context_order, draft.context_order)
-    radix = target.vocab_size + 1
-    span = radix ** width
     draft_row, target_row = draft.row, target.row
     should_continue, on_round_end = policy.should_continue, policy.on_round_end
 
@@ -211,14 +208,6 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
                         target_forward_calls=len(rounds),
                         draft_forward_calls=draft_calls,
                         draft_probe_calls=probe_calls)
-
-
-def check_pair(target: AutoregressiveModel, draft: AutoregressiveModel) -> None:
-    """A target and draft must share the vocab: one context index, in radix
-    ``vocab_size + 1``, names the rows of both."""
-    if target.vocab_size != draft.vocab_size:
-        raise ValueError(
-            f"model pair mismatch: vocab {target.vocab_size} vs {draft.vocab_size}")
 
 
 def _check_prompt(prompt: Sequence[int], max_len: int, vocab_size: int) -> None:

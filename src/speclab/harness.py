@@ -16,9 +16,8 @@ import numpy as np
 from .dist import (Distribution, KeyedStreams, Rng, Uniforms, argmax,
                    kl_divergence, make_rng, sample, sample_rows)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
-                     check_pair, speculative_decode, verify_greedy,
-                     verify_sampling)
-from .models import AutoregressiveModel, context_index
+                     speculative_decode, verify_greedy, verify_sampling)
+from .models import AutoregressiveModel, context_index, context_window
 from .policies import DEFAULT_CAP, LengthPolicy
 
 # Salt mixed into forked oracle rng streams so they never collide with the
@@ -67,11 +66,8 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    check_pair(target, draft)
+    radix, width, span = context_window(target, draft)
     greedy = mode is DecodeMode.GREEDY
-    width = max(target.context_order, draft.context_order)
-    radix = target.vocab_size + 1
-    span = radix ** width
     index = context_index(prefix, len(prefix), target.vocab_size, width)
     n = 0
     while n < cap:
@@ -142,11 +138,9 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    check_pair(target, draft)
+    radix, _, span = context_window(target, draft)
     sums = np.zeros(window + 1)
     counts = np.zeros(window + 1, dtype=int)
-    radix = target.vocab_size + 1
-    span = radix ** max(target.context_order, draft.context_order)
     kls: dict[int, float] = {}  # KL(q||p) by the context index naming both rows
     for result in results:
         for rec in result.rounds:
@@ -196,11 +190,9 @@ def exact_sequence_probs(target: AutoregressiveModel, prompt: Sequence[int],
         raise ValueError("horizon must be >= 1")
     if not all(0 <= t < target.vocab_size for t in prompt):
         raise ValueError("prompt token out of vocab")
-    radix = target.vocab_size + 1
-    span = radix ** target.context_order
+    radix, width, span = context_window(target)
     probs: dict[tuple[int, ...], float] = {}
-    stack = [((), context_index(prompt, len(prompt), target.vocab_size,
-                                target.context_order), 1.0)]
+    stack = [((), context_index(prompt, len(prompt), target.vocab_size, width), 1.0)]
     while stack:
         gen, index, pr = stack.pop()
         if len(gen) == horizon:
@@ -376,11 +368,9 @@ def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    check_pair(target, draft)
+    radix, _, span = context_window(target, draft)
     greedy = mode is DecodeMode.GREEDY
     vocab = target.vocab_size
-    radix = vocab + 1
-    span = radix ** max(target.context_order, draft.context_order)
     contexts: list[int] = []  # the context index of each row in the stacks
     row_of: dict[int, int] = {}
 
@@ -394,10 +384,9 @@ def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
     rows = np.fromiter(map(row, starts), dtype=np.intp, count=len(starts))
     lanes = np.arange(rows.size)
     lengths = np.full(rows.size, cap, dtype=np.int64)
-    # Per stacked row: the draft and target probs and, under sampling, the
-    # draft's cumsum (greedy: both argmaxes); the row reached by each token.
+    # Per stacked row: the draft and target probs, under sampling the draft's
+    # cumsum, and the row reached by each token.
     q = p = cdf = np.empty((0, vocab))
-    q_top = p_top = np.empty(0, dtype=np.intp)
     after = np.empty((0, vocab), dtype=np.intp)
     for step in range(cap):
         if not lanes.size:
@@ -405,18 +394,14 @@ def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
         if len(contexts) > len(after):
             fresh = contexts[len(after):]
             q_new = np.array([draft.row(i).probs for i in fresh])
-            p_new = np.array([target.row(i).probs for i in fresh])
-            if greedy:
-                q_top = np.concatenate((q_top, np.argmax(q_new, axis=1)))
-                p_top = np.concatenate((p_top, np.argmax(p_new, axis=1)))
-            else:
-                q = np.concatenate((q, q_new))
-                p = np.concatenate((p, p_new))
+            q = np.concatenate((q, q_new))
+            p = np.concatenate((p, np.array([target.row(i).probs for i in fresh])))
+            if not greedy:
                 cdf = np.concatenate((cdf, np.cumsum(q_new, axis=1)))
             after = np.concatenate((after, np.full((len(fresh), vocab), -1)))
         if greedy:
-            token = q_top[rows]
-            ok = p_top[rows] == token
+            token = np.argmax(q[rows], axis=1)
+            ok = np.argmax(p[rows], axis=1) == token
         else:
             token = sample_rows(q, cdf, rows, streams.random())
             ok = streams.random() * q[rows, token] < p[rows, token]

@@ -36,6 +36,22 @@ def context_index(tokens: Sequence[int], end: int, vocab_size: int,
     return index
 
 
+def context_window(target: AutoregressiveModel,
+                   draft: AutoregressiveModel | None = None) -> tuple[int, int, int]:
+    """``(radix, width, span)`` of the one ``context_index`` a decoder carries
+    over a model (pair): radix ``vocab_size + 1``, the widest
+    ``context_order`` and ``radix ** width``. That index names the rows of
+    both models, so a draft must share the target's vocab."""
+    width = target.context_order
+    if draft is not None:
+        if draft.vocab_size != target.vocab_size:
+            raise ValueError(f"model pair mismatch: target vocab {target.vocab_size}, "
+                             f"draft vocab {draft.vocab_size}")
+        width = max(width, draft.context_order)
+    radix = target.vocab_size + 1
+    return radix, width, radix ** width
+
+
 def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:
     """Every reachable length-``order`` context: BOS-padded prefixes followed
     by vocab tokens, most padding first, each padding level in lexicographic
@@ -170,6 +186,8 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     Row probabilities are normalized; missing contexts fall back to the
     default row when one is declared.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"invalid model spec: expected an object, got {type(doc).__name__}")
     try:
         vocab_size = _check_int(doc["vocab_size"], "vocab_size")
         context_order = _check_int(doc["context_order"], "context_order")

@@ -226,6 +226,35 @@ class TestMalformedConfig:
         assert err.startswith(f"config error: {path}:")
         assert message in err
 
+    @pytest.mark.parametrize("doc, kind", [([1], "list"), ("x", "str")],
+                             ids=["list", "string"])
+    def test_model_file_not_an_object(self, tmp_path, capsys, doc, kind):
+        model = write_config(tmp_path, "model.json", doc)
+        cfg = decode_config(tmp_path, target_spec=model)
+        assert main(["decode", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: target_spec: invalid model spec: expected an object, "
+            f"got {kind}")
+
+    def test_draft_file_vocab_differs(self, tmp_path, target_spec, capsys):
+        draft = write_config(tmp_path, "draft.json", {
+            "vocab_size": 2, "context_order": 0,
+            "rows": [{"context": [], "probs": [0.5, 0.5]}]})
+        cfg = decode_config(tmp_path, target_spec, draft_spec=draft)
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: draft_spec: model pair mismatch: target vocab 3, "
+            "draft vocab 2")
+
+    def test_out_names_a_file(self, tmp_path, target_spec, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        cfg = decode_config(tmp_path, target_spec)
+        assert main(["oracle-stats", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: --out:")
+
     def test_negative_seed_override(self, tmp_path, target_spec, capsys):
         cfg = decode_config(tmp_path, target_spec)
         assert main(["decode", "--config", cfg, "--out", str(tmp_path / "o"),

@@ -131,6 +131,8 @@ class TestOracleDraftLength:
             oracle_draft_length(target, draft, [0], SAMPLING, make_rng(0), 5)
         with pytest.raises(ValueError, match="model pair mismatch"):
             kl_trace(target, draft, [], window=2)
+        with pytest.raises(ValueError, match="model pair mismatch"):
+            oracle_lengths(target, draft, [0], SAMPLING, KeyedStreams([(0,)]), 5)
 
 
 class Holed(AutoregressiveModel):
@@ -224,6 +226,13 @@ class TestOracleLengths:
         assert scalar_oracle(target, draft, [], SAMPLING, key, 3) == 0
         got = oracle_lengths(target, draft, [0], SAMPLING, KeyedStreams([key]), 3)
         assert got.tolist() == [0]
+
+    def test_greedy_ties_break_to_the_first_index(self):
+        # Tokens 0 and 1 tie in both rows; the draft and the target each take
+        # token 0, so every step is accepted, as in the scalar oracle.
+        draft, target = order0([0.4, 0.4, 0.2]), order0([0.45, 0.45, 0.1])
+        assert scalar_oracle(target, draft, [], GREEDY, None, 4) == 4
+        assert oracle_lengths(target, draft, [0], GREEDY, None, 4).tolist() == [4]
 
     @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
     @pytest.mark.parametrize("holed", ["target", "draft"])
