@@ -161,10 +161,11 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
 
         if room > 0:
             q_cur = draft_row(index)
+            h_cur = entropy(q_cur)
             while True:
                 token = argmax(q_cur) if greedy else sample(q_cur, rng)
                 proposed.append(token)
-                entropies.append(entropy(q_cur))
+                entropies.append(h_cur)
                 q_dists.append(q_cur)
                 index = (index * radix + token + 1) % span
                 indices.append(index)
@@ -176,7 +177,8 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
                     next_entropy = h_next
                     probe_calls += 1
                     break
-                q_cur = q_next
+                # The probed row is drafted next, with the entropy just read.
+                q_cur, h_cur = q_next, h_next
             draft_calls += len(proposed)
 
         # Target rows are read as verification reaches them.

@@ -8,7 +8,7 @@ across concurrent decode sessions.
 from __future__ import annotations
 
 from itertools import chain, islice, product, takewhile
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,10 +69,12 @@ class AutoregressiveModel:
 
     Implementations are pure and read only the last ``context_order`` tokens
     of the context (BOS-padded when it is shorter). ``row(index)`` is the one
-    method an implementation defines: the row of the context whose
+    callable an implementation provides: the row of the context whose
     ``context_index`` is ``index % (vocab_size + 1) ** context_order``, so a
     decoder can carry one index over the widest window of a model pair and
-    step it per token. ``next_distribution`` is derived from ``row``.
+    step it per token. It may be a method or any callable instance
+    attribute, such as a bound dict lookup (``TabularModel``).
+    ``next_distribution`` is derived from ``row``.
     """
 
     vocab_size: int
@@ -94,13 +96,54 @@ class AutoregressiveModel:
         return self.missing_row((BOS,) * (k - len(tail)) + tuple(tail))
 
 
+class RowMap(dict):
+    """A ``TabularModel``'s rows keyed by context index, which resolves a
+    miss as ``row`` does: an index outside ``[0, span)`` is reduced to
+    ``index % span``, and a context without a row gets ``default``, or
+    raises when there is none.
+
+    It holds what a miss needs and nothing of its model: a model's ``row``
+    is this map's bound ``__getitem__``, and no reference cycle keeps the
+    model alive until a garbage-collector pass.
+    """
+
+    __slots__ = ("span", "radix", "order", "default")
+
+    def __init__(self, rows: Iterable[tuple[int, Distribution]], vocab_size: int,
+                 order: int, default: Distribution | None):
+        super().__init__(rows)
+        self.radix = vocab_size + 1
+        self.order = order
+        self.span = self.radix ** order
+        self.default = default
+
+    def __missing__(self, index: int) -> Distribution:
+        reduced = index % self.span
+        if reduced != index:
+            return self[reduced]
+        if self.default is None:
+            raise ValueError(
+                f"incomplete table: no row for context {self.context_of(index)!r}")
+        return self.default
+
+    def context_of(self, index: int) -> tuple[int, ...]:
+        """Inverse of ``context_index`` for ``0 <= index < span``."""
+        tokens = []
+        for _ in range(self.order):
+            index, digit = divmod(index, self.radix)
+            tokens.append(digit - 1)
+        return tuple(reversed(tokens))
+
+
 class TabularModel(AutoregressiveModel):
     """Explicit lookup table from length-k contexts to next-token rows.
 
-    ``table`` maps context tuples to rows; the model keeps them in one map,
-    ``rows``, keyed by context index and built once here in ``table``'s
-    order. A context without a row gets ``default``, or raises when there is
-    none.
+    ``table`` maps context tuples to rows; the model keeps them in one
+    ``RowMap``, ``rows``, keyed by context index and built once here in
+    ``table``'s order. ``row`` is that map's bound ``__getitem__``: a hit
+    is one dict lookup, and the map resolves a miss (an index past the
+    model's own window, or a context without a row, which gets ``default``
+    or raises when there is none).
     """
 
     def __init__(self, vocab_size: int, context_order: int,
@@ -129,38 +172,24 @@ class TabularModel(AutoregressiveModel):
             raise ValueError("row arity mismatch: default row")
         if default is None:
             _check_complete(table, vocab_size, context_order)
-        self._set(vocab_size, context_order, dict(zip(index.tolist(), table.values())),
-                  default)
+        self._set(vocab_size, context_order, zip(index.tolist(), table.values()), default)
 
     def _set(self, vocab_size: int, context_order: int,
-             rows: dict[int, Distribution], default: Distribution | None) -> None:
-        # Also builds tempered drafts: one assignment order keeps every model
-        # on one shared attribute layout, which keeps ``row`` fast.
+             rows: Iterable[tuple[int, Distribution]], default: Distribution | None) -> None:
+        # Also builds tempered drafts.
         self.vocab_size = vocab_size
         self.context_order = context_order
-        self.rows = rows
-        self.span = (vocab_size + 1) ** context_order
-        self.default = default
+        self.rows = RowMap(rows, vocab_size, context_order, default)
+        self.row = self.rows.__getitem__
 
-    def row(self, index: int) -> Distribution:
-        index %= self.span
-        row = self.rows.get(index)
-        if row is None:
-            return self.missing_row(self._context_of(index))
-        return row
+    @property
+    def default(self) -> Distribution | None:
+        return self.rows.default
 
     def missing_row(self, context: tuple[int, ...]) -> Distribution:
         if self.default is None:
             raise ValueError(f"incomplete table: no row for context {context!r}")
         return self.default
-
-    def _context_of(self, index: int) -> tuple[int, ...]:
-        """Inverse of ``context_index`` for ``0 <= index < span``."""
-        tokens = []
-        for _ in range(self.context_order):
-            index, digit = divmod(index, self.vocab_size + 1)
-            tokens.append(digit - 1)
-        return tuple(reversed(tokens))
 
 
 def _check_complete(table, vocab_size, order):
@@ -258,7 +287,7 @@ def tabular_to_spec(model: TabularModel) -> dict:
         "vocab_size": model.vocab_size,
         "context_order": model.context_order,
         # Index order is context order: token t is digit t + 1, BOS digit 0.
-        "rows": [{"context": list(model._context_of(index)), "probs": row.probs.tolist()}
+        "rows": [{"context": list(model.rows.context_of(index)), "probs": row.probs.tolist()}
                  for index, row in sorted(model.rows.items())],
     }
     if model.default is not None:
@@ -322,7 +351,7 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     default = dists.pop() if base.default is not None else None
     # The base's keys and its default row: nothing the constructor checks is new.
     draft = TabularModel.__new__(TabularModel)
-    draft._set(base.vocab_size, base.context_order, dict(zip(base.rows, dists)), default)
+    draft._set(base.vocab_size, base.context_order, zip(base.rows, dists), default)
     return draft
 
 

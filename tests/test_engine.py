@@ -1,12 +1,15 @@
 """Verify/Correct primitives and the decode loops."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import speclab.engine
 from speclab.bounds import acceptance_rate
 from speclab.dist import (BLOCK, Distribution, argmax, entropy, make_rng,
                           normalize, residual, sample)
@@ -514,6 +517,37 @@ class TestLazyTargetRows:
         ref = reference_decode(target, draft, [0, 1], horizon,
                                policy_factory(), mode, make_rng(62))
         assert res == ref
+
+
+class TestEntropyReads:
+    """A drafted row's entropy is read once: the round's first draft row,
+    then each probed row, which is also the next row drafted."""
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("policy_factory", [
+        lambda: ConstantPolicy(5, 40),
+        lambda: HeuristicPolicy(5, 40),
+        lambda: SvipPolicy(SvipConfig(h=0.85, max_len=40)),
+    ])
+    def test_one_call_per_draft_row_read(self, monkeypatch, mode, policy_factory):
+        calls = []
+        monkeypatch.setattr(speclab.engine, "entropy",
+                            lambda d: calls.append(d) or entropy(d))
+        root = Path(__file__).resolve().parents[1]
+        target = tabular_from_spec(json.loads(
+            (root / "configs" / "segmented_target.json").read_text()))
+        draft = temper(target, 2.0, 0.2)
+        reads = []
+        res = speculative_decode(target, Recording(draft, reads), [1], 600,
+                                 policy_factory(), mode, make_rng(11))
+        drafted = [rec for rec in res.rounds if rec.proposed_tokens]
+        probes = sum(len(rec.proposed_tokens) - 1 + (rec.next_entropy is not None)
+                     for rec in drafted)
+        assert len(calls) == len(drafted) + probes == len(reads)
+        assert len(calls) == res.draft_forward_calls + res.draft_probe_calls
+        assert res.draft_probe_calls > 0
+        assert res == reference_decode(target, draft, [1], 600, policy_factory(),
+                                       mode, make_rng(11))
 
 
 def generator(kind, seed):

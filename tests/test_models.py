@@ -1,7 +1,10 @@
 """Synthetic model constructors and their invariants."""
 
+import gc
 import hashlib
 import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab.dist import entropy, make_rng, normalize
+from speclab.engine import DecodeMode, autoregressive_decode, speculative_decode
 from speclab.models import (BOS, TabularModel, context_index, context_space,
                             load_corpus, random_tabular, segmented_chain_model,
                             tabular_from_spec, tabular_to_spec, temper,
                             train_ngram)
+from speclab.policies import (ConstantPolicy, HeuristicPolicy, SvipConfig,
+                              SvipPolicy)
+
+SHIPPED_TARGET = Path(__file__).resolve().parents[1] / "configs" / "segmented_target.json"
 
 
 def assert_valid_distribution(d, vocab_size):
@@ -127,6 +135,111 @@ class TestRowIndex:
         row = normalize([1.0, 1.0])
         with pytest.raises(ValueError, match=r"invalid context \(0, 2\)"):
             TabularModel(2, 2, {(0, 2): row}, row)
+
+
+def shipped_pair():
+    """The shipped target and the ``temper`` 2.0/0.2 draft its configs use."""
+    target = tabular_from_spec(json.loads(SHIPPED_TARGET.read_text()))
+    return target, temper(target, 2.0, 0.2)
+
+
+def resolution_models():
+    target, draft = shipped_pair()
+    corpus = [int(t) for t in make_rng(23).integers(0, 4, size=300)]
+    holed = random_tabular(3, 2, make_rng(29))
+    del holed.rows[context_index((0, 2), 2, 3, 2)]  # no default row either
+    return {"target": target, "draft": draft,
+            "order-0": random_tabular(3, 0, make_rng(31)),
+            "ngram": train_ngram(corpus, 3, 0.5, 4), "holed": holed}
+
+
+SHIPPED_POLICIES = {
+    "constant-5": lambda: ConstantPolicy(5, 40),
+    "heuristic": lambda: HeuristicPolicy(5, 40),
+    "svip-0.85": lambda: SvipPolicy(SvipConfig(h=0.85, max_len=40)),
+}
+
+
+def decode_digest(result):
+    return _digest([result.output_tokens,
+                    [[r.round_index, r.start_len, r.start_index, r.proposed_tokens,
+                      r.draft_entropies, r.next_entropy, r.accepted_count,
+                      r.correction, r.bonus] for r in result.rounds],
+                    result.target_forward_calls, result.draft_forward_calls,
+                    result.draft_probe_calls])
+
+
+class TestRowResolution:
+    """``row`` resolves every index, hit or miss, to the row or error that
+    reducing it modulo the span and reading the table gave."""
+
+    def test_every_index_resolves_as_before(self):
+        """Digests of which stored row (by key, so by identity) or which
+        error each index resolves to, recorded when ``row`` was a method
+        that reduced the index modulo the span and read the table."""
+        got = {}
+        for name, model in resolution_models().items():
+            key_of = {id(row): key for key, row in dict.items(model.rows)}
+            key_of[id(model.default)] = "default"
+            row, seen = model.row, []
+            # Two digits past the model's own window, as a wider pair's index.
+            for index in range((model.vocab_size + 1) ** (model.context_order + 2)):
+                try:
+                    seen.append(key_of[id(row(index))])
+                except ValueError as exc:
+                    seen.append(str(exc))
+            got[name] = _digest(seen)
+        assert got == {
+            "target": "b2ea7e6374252f7fa97c6d50b4b58c60bc69daa3f2fdb669880b0dff876b5fc2",
+            "draft": "b2ea7e6374252f7fa97c6d50b4b58c60bc69daa3f2fdb669880b0dff876b5fc2",
+            "order-0": "90b44c0fdcab6576b5416c15221b023b5e8676bb04e237325e2cb1ef179e9dda",
+            "ngram": "6575c5f28cd18d1e3dd80565e3c73784fd5bbd20b652e757e4753dd613db340e",
+            "holed": "d7f588c850d433b60098acf8295f32b4b8af904c4f97eafb081a50833b72b658",
+        }
+
+    def test_negative_index_wraps(self):
+        for model in resolution_models().values():
+            span = (model.vocab_size + 1) ** model.context_order
+            for index in range(-span, 0):
+                assert_same_outcome(outcome(model.row, index),
+                                    outcome(model.row, index + span))
+
+    def test_mixed_order_decodes(self):
+        """The order-7 shipped target with an order-2 n-gram draft: nearly
+        every draft read is an index past the draft's span."""
+        target, _ = shipped_pair()
+        corpus = autoregressive_decode(target, [1], 4000, DecodeMode.SAMPLING,
+                                       make_rng(41))
+        draft = train_ngram(corpus, 3, 0.5, target.vocab_size)
+        draft_span = (draft.vocab_size + 1) ** draft.context_order
+        got = {}
+        for mode in DecodeMode:
+            for name, policy in SHIPPED_POLICIES.items():
+                result = speculative_decode(target, draft, [1], 1500, policy(), mode,
+                                            make_rng(43))
+                starts = [r.start_index for r in result.rounds]
+                assert sum(i >= draft_span for i in starts) > 0.95 * len(starts)
+                got[f"{mode.value}/{name}"] = decode_digest(result)
+        assert got == {
+            "sampling/constant-5": "5aaab101e9c72e57556da0cb9f7dea336854dbf43e60d2e1401d01503ad1d526",
+            "sampling/heuristic": "e604078bf40e456b3377f688b772f1b92df1c26d48736d09d1ddb387084ce36a",
+            "sampling/svip-0.85": "afbb41bfcf9ed78c90ffd6797fff513e9534f52d9e53897f2575aaa03a037420",
+            "greedy/constant-5": "0b40301a74cf6ace0b0e9f4509e3ffeec64ed3807cf94fb853dc69a36d401c2b",
+            "greedy/heuristic": "925aa84146eaa3f47a98f23abf4948ed9c0e29250b796ab028a3ce6946e8f6da",
+            "greedy/svip-0.85": "6cdd83f23dc2f60509c89d9458661c23f3481dd982a969c492fb919fb99b6fa8",
+        }
+
+    def test_model_and_draft_freed_without_gc(self):
+        """A model holds its rows and their bound lookup; nothing holds the
+        model back, so ``del`` frees it with the collector off."""
+        target, draft = shipped_pair()
+        refs = [weakref.ref(target), weakref.ref(draft)]
+        gc.disable()
+        try:
+            del target, draft
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestTabularFromSpec:
