@@ -270,9 +270,9 @@ def normalize(weights) -> Distribution:
     return Distribution(w / total)
 
 
-def normalize_rows(rows) -> list[Distribution]:
-    """``[normalize(r) for r in rows]``, with the checks run once over the
-    stacked rows instead of once per row.
+def normalize_rows(rows) -> np.ndarray:
+    """The stack of ``normalize(r).probs`` for every r in ``rows``: a 2-d,
+    read-only float array, checked once as a stack instead of once per row.
 
     Rows the stacked checks cannot vouch for (ragged, nested, non-finite,
     negative, all-zero) go through ``normalize`` one by one, which raises
@@ -286,27 +286,38 @@ def normalize_rows(rows) -> list[Distribution]:
         total = w.sum(axis=1, keepdims=True)
         if np.all(total > 0.0):
             try:
-                return distribution_rows(w / total)
+                return checked_rows(w / total)
             except ValueError:
                 pass
-    return [normalize(r) for r in rows]
+    dists = [normalize(r) for r in rows]
+    return checked_rows(np.array([d.probs for d in dists]) if dists else np.empty((0, 0)))
 
 
-def distribution_rows(p: np.ndarray) -> list[Distribution]:
-    """The rows of the 2-d float array ``p`` as Distributions, checked once
-    as a stack: every entry finite and non-negative, every row summing to 1
-    within ``SUM_TOL``. The rows share ``p``, which is made read-only."""
+def checked_rows(p: np.ndarray) -> np.ndarray:
+    """``p``, a 2-d float array, made read-only once every row is checked to
+    be a distribution: every entry finite and non-negative, every row
+    summing to 1 within ``SUM_TOL``."""
     if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
             and np.all(np.abs(p.sum(axis=1) - 1.0) <= SUM_TOL)):
         raise ValueError("invalid distribution: a stacked row is not a distribution")
     p.setflags(write=False)
-    dists = []
-    for row in p:
-        d = Distribution.__new__(Distribution)
-        d.probs = row
-        d._list = d._cdf = d._entropy = d._argmax = d._residuals = None
-        dists.append(d)
-    return dists
+    return p
+
+
+def unchecked_distribution(probs: np.ndarray) -> Distribution:
+    """A Distribution over ``probs``, which the caller has already checked
+    to be a distribution; the array is kept as it is, not copied."""
+    d = Distribution.__new__(Distribution)
+    d.probs = probs
+    d._list = d._cdf = d._entropy = d._argmax = d._residuals = None
+    return d
+
+
+def distribution_rows(p: np.ndarray) -> list[Distribution]:
+    """The rows of the 2-d float array ``p`` as Distributions, checked once
+    as a stack (``checked_rows``). The rows share ``p``, which is made
+    read-only."""
+    return list(map(unchecked_distribution, checked_rows(p)))
 
 
 def entropy(d: Distribution) -> float:
@@ -380,20 +391,27 @@ def residual(p: Distribution, q: Distribution) -> Distribution:
     """Normalized positive part of (p - q), the correction distribution.
 
     Sampling from it on rejection is what preserves p exactly; its support
-    lies in {x : p(x) > q(x)}. Memoized on ``p`` per ``q`` object, so a
-    repeat rejection against the same pair of rows reuses one Distribution
-    and its cdf; a degenerate pair raises on every call.
+    lies in {x : p(x) > q(x)}. Any positive mass is normalized, however
+    small. When there is none (p and q coincide, or differ only where p is
+    below q by roundoff), p itself is returned: a rejection there has
+    probability zero up to roundoff, and p is what the correction
+    preserves. Memoized on ``p`` per ``q`` object, so a repeat rejection
+    against the same pair of rows reuses one Distribution and its cdf; the
+    fallback is not memoized, since ``p`` holding itself would keep it
+    alive until a garbage-collector pass.
     """
     if p._residuals is None:
         p._residuals = {}
     r = p._residuals.get(q)
     if r is None:
         _check_lengths(p, q)
-        diff = p.probs - q.probs
-        if float(np.abs(diff).max()) <= NONNEG_TOL:
-            raise ValueError("degenerate residual: distributions coincide")
-        pos = np.maximum(diff, 0.0)
-        r = p._residuals[q] = Distribution(pos / pos.sum())
+        pos = np.maximum(p.probs - q.probs, 0.0)
+        total = pos.sum()
+        if not total > 0.0:
+            return p
+        pos /= total
+        pos.setflags(write=False)
+        r = p._residuals[q] = unchecked_distribution(pos)
     return r
 
 

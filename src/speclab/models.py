@@ -1,18 +1,21 @@
 """Synthetic autoregressive model pairs with controllable target/draft discrepancy.
 
-Every model is a ``TabularModel``: its rows are built and checked once, when
-it is constructed. Models are immutable after construction and safe to share
-across concurrent decode sessions.
+Every model is a ``TabularModel``: its table is checked once, when it is
+constructed, and kept as one stacked array; each row is built on its first
+read. Models are immutable after construction and safe to share across
+concurrent decode sessions.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, product, takewhile
+from itertools import chain, islice, product, repeat, takewhile
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dist import Distribution, Rng, distribution_rows, normalize, normalize_rows
+from .dist import (Distribution, Rng, checked_rows, normalize, normalize_rows,
+                   unchecked_distribution)
 
 # Reserved begin-of-sequence marker used to left-pad short contexts. It never
 # appears in the output vocabulary (tokens are >= 0).
@@ -97,34 +100,47 @@ class AutoregressiveModel:
 
 
 class RowMap(dict):
-    """A ``TabularModel``'s rows keyed by context index, which resolves a
-    miss as ``row`` does: an index outside ``[0, span)`` is reduced to
-    ``index % span``, and a context without a row gets ``default``, or
-    raises when there is none.
+    """A ``TabularModel``'s rows keyed by context index, each built on its
+    first read and stored under the index that was read, so every later
+    read of that index is one dict hit.
+
+    A miss resolves as ``row`` does: an index with a table row gets a
+    Distribution over that row of the stack ``probs``; an index outside
+    ``[0, span)`` gets the row of ``index % span``; a context without a
+    row gets ``default``, or raises when there is none.
 
     It holds what a miss needs and nothing of its model: a model's ``row``
     is this map's bound ``__getitem__``, and no reference cycle keeps the
     model alive until a garbage-collector pass.
     """
 
-    __slots__ = ("span", "radix", "order", "default")
+    __slots__ = ("positions", "probs", "span", "radix", "order", "default")
 
-    def __init__(self, rows: Iterable[tuple[int, Distribution]], vocab_size: int,
+    def __init__(self, positions: dict[int, int], probs: np.ndarray, vocab_size: int,
                  order: int, default: Distribution | None):
-        super().__init__(rows)
+        super().__init__()
+        self.positions = positions  # context index -> row of ``probs``
+        self.probs = probs
         self.radix = vocab_size + 1
         self.order = order
         self.span = self.radix ** order
         self.default = default
 
     def __missing__(self, index: int) -> Distribution:
-        reduced = index % self.span
-        if reduced != index:
-            return self[reduced]
-        if self.default is None:
-            raise ValueError(
-                f"incomplete table: no row for context {self.context_of(index)!r}")
-        return self.default
+        k = self.positions.get(index)
+        if k is not None:
+            row = unchecked_distribution(self.probs[k])
+        else:
+            reduced = index % self.span
+            if reduced != index:
+                row = self[reduced]
+            elif self.default is None:
+                raise ValueError(
+                    f"incomplete table: no row for context {self.context_of(index)!r}")
+            else:
+                row = self.default
+        self[index] = row
+        return row
 
     def context_of(self, index: int) -> tuple[int, ...]:
         """Inverse of ``context_index`` for ``0 <= index < span``."""
@@ -138,12 +154,17 @@ class RowMap(dict):
 class TabularModel(AutoregressiveModel):
     """Explicit lookup table from length-k contexts to next-token rows.
 
-    ``table`` maps context tuples to rows; the model keeps them in one
-    ``RowMap``, ``rows``, keyed by context index and built once here in
-    ``table``'s order. ``row`` is that map's bound ``__getitem__``: a hit
-    is one dict lookup, and the map resolves a miss (an index past the
-    model's own window, or a context without a row, which gets ``default``
-    or raises when there is none).
+    The table is two arrays: ``index``, the context index of each row in
+    table order, and ``probs``, one read-only ``(rows, vocab_size)`` stack
+    of the rows. Construction checks them and builds no Distribution.
+    ``rows`` is a ``RowMap``, a read cache over the stack, and ``row`` is
+    its bound ``__getitem__``: a row is built on its first read, and every
+    later read of the same index is one dict lookup returning the same
+    object.
+
+    ``table`` maps context tuples to rows, which are copied into the stack
+    in ``table``'s order. A context without a row gets ``default``; without
+    one, the table must hold every context.
     """
 
     def __init__(self, vocab_size: int, context_order: int,
@@ -158,28 +179,33 @@ class TabularModel(AutoregressiveModel):
                 raise ValueError(f"row arity mismatch: context {key!r}")
             if len(row) != vocab_size:
                 raise ValueError(f"row arity mismatch: {len(row)} probs for context {key!r}")
-        radix = vocab_size + 1
-        # context_index of every key at once; Python ints once int64 would overflow.
-        keys = np.fromiter(chain.from_iterable(table), count=len(table) * context_order,
-                           dtype=np.int64 if radix ** context_order < 2 ** 63 else object)
+        keys = _context_keys(chain.from_iterable(table), len(table), vocab_size,
+                             context_order)
         if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
             bad = next(key for key in table if not all(BOS <= t < vocab_size for t in key))
             raise ValueError(f"invalid context {bad!r}: token out of vocab")
-        powers = np.array([radix ** e for e in range(context_order - 1, -1, -1)],
-                          dtype=keys.dtype)
-        index = (keys.reshape(len(table), context_order) + 1) @ powers
         if default is not None and len(default) != vocab_size:
             raise ValueError("row arity mismatch: default row")
+        index = _context_indices(keys, vocab_size)
+        positions = dict(zip(index.tolist(), range(len(index))))
         if default is None:
-            _check_complete(table, vocab_size, context_order)
-        self._set(vocab_size, context_order, zip(index.tolist(), table.values()), default)
+            _check_complete(keys, positions, vocab_size, context_order)
+        probs = np.array([row.probs for row in table.values()], dtype=np.float64)
+        self._set(vocab_size, context_order, index, positions,
+                  probs.reshape(len(table), vocab_size), default)
 
-    def _set(self, vocab_size: int, context_order: int,
-             rows: Iterable[tuple[int, Distribution]], default: Distribution | None) -> None:
-        # Also builds tempered drafts.
+    def _set(self, vocab_size: int, context_order: int, index: np.ndarray,
+             positions: dict[int, int], probs: np.ndarray,
+             default: Distribution | None) -> None:
+        # Every constructor ends here, with checked arrays: also tempered
+        # drafts and loaded model files.
+        index.setflags(write=False)
+        probs.setflags(write=False)
         self.vocab_size = vocab_size
         self.context_order = context_order
-        self.rows = RowMap(rows, vocab_size, context_order, default)
+        self.index = index
+        self.probs = probs
+        self.rows = RowMap(positions, probs, vocab_size, context_order, default)
         self.row = self.rows.__getitem__
 
     @property
@@ -192,12 +218,35 @@ class TabularModel(AutoregressiveModel):
         return self.default
 
 
-def _check_complete(table, vocab_size, order):
-    # Padding levels come smallest first; verify those of at most 1M contexts.
+def _context_keys(tokens: Iterable[int], rows: int, vocab_size: int,
+                  order: int) -> np.ndarray:
+    """The ``(rows, order)`` array of the concatenated contexts ``tokens``;
+    Python ints once an index would overflow int64."""
+    dtype = np.int64 if (vocab_size + 1) ** order < 2 ** 63 else object
+    return np.fromiter(tokens, dtype=dtype, count=rows * order).reshape(rows, order)
+
+
+def _context_indices(keys: np.ndarray, vocab_size: int) -> np.ndarray:
+    """``context_index`` of every row of ``keys`` at once."""
+    radix, order = vocab_size + 1, keys.shape[1]
+    powers = np.array([radix ** e for e in range(order - 1, -1, -1)], dtype=keys.dtype)
+    return (keys + 1) @ powers
+
+
+def _check_complete(keys, positions, vocab_size, order):
+    # A context is reachable when its BOS padding all comes first; with
+    # distinct keys, the table is complete when it holds as many reachable
+    # contexts as there are. Otherwise walk the context space, smallest
+    # padding level first, to name the first missing context, verifying
+    # the levels of at most 1M contexts.
     levels = [vocab_size ** n for n in range(order + 1)]
     small = list(takewhile(lambda n: n <= 1_000_000, levels))
+    bos = keys == BOS
+    reachable = np.count_nonzero(~np.any(bos[:, 1:] & ~bos[:, :-1], axis=1))
+    if len(small) == len(levels) and reachable == sum(levels):
+        return
     for key in islice(context_space(vocab_size, order), sum(small)):
-        if key not in table:
+        if context_index(key, order, vocab_size, order) not in positions:
             raise ValueError(f"incomplete table: no row for context {key!r} and no default")
     if len(small) < len(levels):
         raise ValueError("incomplete table: context space too large to verify without a default row")
@@ -214,6 +263,10 @@ def tabular_from_spec(doc: dict) -> TabularModel:
 
     Row probabilities are normalized; missing contexts fall back to the
     default row when one is declared.
+
+    The rows are checked a column at a time (every context, every token,
+    every probs list), then stacked; when a check fails, ``_check_rows``
+    walks the rows to name the first bad field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"invalid model spec: expected an object, got {type(doc).__name__}")
@@ -224,8 +277,66 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid model spec: missing field {exc}") from exc
     _check_list(rows, "rows")
-    contexts: list[tuple[int, ...]] = []
-    weights = []
+    keys = None
+    try:
+        contexts = list(map(itemgetter("context"), rows))
+        weights = list(map(itemgetter("probs"), rows))
+    except (KeyError, TypeError):
+        pass
+    else:
+        if all(map(isinstance, weights, repeat(list))) and set(map(len, weights)) <= {vocab_size}:
+            keys = _context_stack(contexts, vocab_size, context_order)
+    if keys is None:
+        _check_rows(rows, vocab_size, context_order)  # raises: a column check failed
+    try:  # np.asarray(weights, dtype=np.float64), in one pass over the values
+        weights = np.fromiter(chain.from_iterable(weights), np.float64,
+                              len(rows) * vocab_size).reshape(len(rows), vocab_size)
+    except (ValueError, TypeError):
+        pass  # normalize_rows names the first bad row
+    probs = normalize_rows(weights).reshape(len(rows), vocab_size)
+    index = _context_indices(keys, vocab_size)
+    index_list = index.tolist()
+    positions = dict(zip(index_list, range(len(index_list))))
+    if len(positions) < len(index_list):
+        first: dict[int, int] = {}
+        for i, key in enumerate(index_list):
+            if first.setdefault(key, i) != i:
+                raise ValueError(f"invalid model spec: rows[{i}].context: "
+                                 f"duplicates rows[{first[key]}]")
+    default = None
+    if doc.get("default") is not None:
+        _check_list(doc["default"], "default")
+        if len(doc["default"]) != vocab_size:
+            raise ValueError("row arity mismatch: default row")
+        default = normalize(doc["default"])
+    else:
+        _check_complete(keys, positions, vocab_size, context_order)
+    model = TabularModel.__new__(TabularModel)
+    model._set(vocab_size, context_order, index, positions, probs, default)
+    return model
+
+
+def _context_stack(contexts: list, vocab_size: int, order: int) -> np.ndarray | None:
+    """The ``(rows, order)`` token array of ``contexts``, or None unless every
+    context is a list of ``order`` JSON integers in ``[BOS, vocab_size)``:
+    the context checks of ``_check_rows``, a column at a time."""
+    if not (all(map(isinstance, contexts, repeat(list)))
+            and set(map(len, contexts)) <= {order}):
+        return None
+    tokens = list(chain.from_iterable(contexts))
+    if not all(issubclass(t, int) and t is not bool for t in set(map(type, tokens))):
+        return None
+    try:
+        keys = _context_keys(tokens, len(contexts), vocab_size, order)
+    except OverflowError:  # past int64, so out of vocab
+        return None
+    if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
+        return None
+    return keys
+
+
+def _check_rows(rows: list, vocab_size: int, context_order: int) -> None:
+    """Raise the error of the first bad field of ``rows``, read row by row."""
     for i, row in enumerate(rows):
         try:
             context = row["context"]
@@ -243,22 +354,6 @@ def tabular_from_spec(doc: dict) -> TabularModel:
                 _check_int(t, f"rows[{i}].context[{k}]")
             if t != BOS and not 0 <= t < vocab_size:
                 raise ValueError(f"invalid model spec: rows[{i}] context token {t} out of vocab")
-        contexts.append(tuple(context))
-        weights.append(probs)
-    table = dict(zip(contexts, normalize_rows(weights)))
-    if len(table) < len(contexts):
-        first: dict[tuple[int, ...], int] = {}
-        for i, context in enumerate(contexts):
-            if first.setdefault(context, i) != i:
-                raise ValueError(f"invalid model spec: rows[{i}].context: "
-                                 f"duplicates rows[{first[context]}]")
-    default = None
-    if doc.get("default") is not None:
-        _check_list(doc["default"], "default")
-        if len(doc["default"]) != vocab_size:
-            raise ValueError("row arity mismatch: default row")
-        default = normalize(doc["default"])
-    return TabularModel(vocab_size, context_order, table, default)
 
 
 def _check_list(value, path: str) -> None:
@@ -287,8 +382,8 @@ def tabular_to_spec(model: TabularModel) -> dict:
         "vocab_size": model.vocab_size,
         "context_order": model.context_order,
         # Index order is context order: token t is digit t + 1, BOS digit 0.
-        "rows": [{"context": list(model.rows.context_of(index)), "probs": row.probs.tolist()}
-                 for index, row in sorted(model.rows.items())],
+        "rows": [{"context": list(model.rows.context_of(index)), "probs": probs}
+                 for index, probs in sorted(zip(model.index.tolist(), model.probs.tolist()))],
     }
     if model.default is not None:
         doc["default"] = model.default.probs.tolist()
@@ -335,10 +430,9 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
         raise ValueError("invalid temperature: tau must be positive")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
-    rows = [d.probs for d in base.rows.values()]
+    p = base.probs
     if base.default is not None:
-        rows.append(base.default.probs)
-    p = np.array(rows)
+        p = np.vstack((p, base.default.probs))
     pos = p > 0.0
     # Power in log space so extreme 1/tau cannot underflow every entry.
     logw = np.log(np.where(pos, p, 1.0)) / tau
@@ -347,11 +441,13 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     w /= w.sum(axis=1, keepdims=True)
     if eps > 0.0:
         w = (1.0 - eps) * w + eps / base.vocab_size
-    dists = distribution_rows(w)
-    default = dists.pop() if base.default is not None else None
-    # The base's keys and its default row: nothing the constructor checks is new.
+    w = checked_rows(w)
+    n = len(base.index)
+    default = unchecked_distribution(w[n]) if base.default is not None else None
+    # The base's index and its default row: nothing the constructors check is new.
     draft = TabularModel.__new__(TabularModel)
-    draft._set(base.vocab_size, base.context_order, zip(base.rows, dists), default)
+    draft._set(base.vocab_size, base.context_order, base.index, base.rows.positions,
+               w[:n], default)
     return draft
 
 

@@ -11,7 +11,8 @@ import speclab.dist as dist_module
 from speclab.dist import (BLOCK, Distribution, KeyedStreams, Uniforms, argmax,
                           cross_entropy, distribution_rows, entropy,
                           kl_divergence, make_rng, normalize, normalize_rows,
-                          residual, sample, sample_rows, tvd)
+                          residual, sample, sample_rows, tvd,
+                          unchecked_distribution)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -37,7 +38,8 @@ class TestNormalizeRows:
             rows[:, 0] += 1e-3
             got = normalize_rows(rows.tolist())
             want = [normalize(r) for r in rows.tolist()]
-            assert [d.probs.tobytes() for d in got] == [d.probs.tobytes() for d in want]
+            assert not got.flags.writeable
+            assert [r.tobytes() for r in got] == [d.probs.tobytes() for d in want]
 
     @pytest.mark.parametrize("bad", [
         [1.0, float("nan")], [1.0, float("inf")], [1.0, -0.5], [0.0, 0.0],
@@ -298,7 +300,7 @@ class TestListMemo:
         p, q = normalize(gen.random(5)), normalize(gen.random(5))
         stacked = distribution_rows(gen.dirichlet(np.ones(5), size=3))
         for d in (p, q, *stacked, residual(p, q),
-                  *normalize_rows(gen.random((2, 5)).tolist())):
+                  unchecked_distribution(normalize_rows(gen.random((2, 5)).tolist())[1])):
             assert d._list is None  # filled on first use, not at construction
             values = d.probs_list()
             assert values == d.probs.tolist()
@@ -507,10 +509,10 @@ class TestResidual:
         r = residual(Distribution([0.6, 0.3, 0.1]), Distribution([0.2, 0.5, 0.3]))
         np.testing.assert_allclose(r.probs, [1, 0, 0], atol=1e-15)
 
-    def test_identical_inputs_rejected(self):
+    def test_identical_inputs_fall_back_to_p(self):
         d = Distribution([0.4, 0.6])
-        with pytest.raises(ValueError, match="degenerate residual"):
-            residual(d, d)
+        assert residual(d, d) is d
+        assert d._residuals == {}  # not memoised: d would hold itself
 
     def test_repeat_is_memoized(self):
         rng = make_rng(11)
@@ -523,12 +525,22 @@ class TestResidual:
         assert fresh.probs.tobytes() == r.probs.tobytes()
         assert residual(q, p) is not r  # memoized per ordered pair
 
-    def test_coinciding_pair_raises_every_call(self):
+    def test_coinciding_pair_falls_back_to_p_every_call(self):
         p = Distribution([0.4, 0.6])
-        q = Distribution([0.4, 0.6 + 1e-13])
+        q = Distribution([0.4, 0.6 + 1e-13])  # p - q has no positive part
         for _ in range(2):
-            with pytest.raises(ValueError, match="degenerate residual"):
-                residual(p, q)
+            assert residual(p, q) is p
+        assert p._residuals == {}
+
+    def test_tiny_positive_part_is_normalised(self):
+        # p and q differ by 1e-13, below the old coincidence tolerance; the
+        # positive part of p - q lies on token 0 alone.
+        p = Distribution([0.4 + 1e-13, 0.6 - 1e-13])
+        q = Distribution([0.4, 0.6])
+        r = residual(p, q)
+        assert r.probs.tolist() == [1.0, 0.0]
+        assert residual(p, q) is r
+        assert not r.probs.flags.writeable
 
     def test_support_and_validity(self):
         rng = make_rng(10)

@@ -239,10 +239,40 @@ class TestCorrect:
         rng = make_rng(0)
         assert all(correct_sampling(p, q, rng) == 0 for _ in range(100))
 
-    def test_sampling_degenerate(self):
-        d = Distribution([0.5, 0.5])
-        with pytest.raises(ValueError, match="degenerate residual"):
-            correct_sampling(d, d, make_rng(0))
+    def test_sampling_degenerate_samples_p(self):
+        # p == q leaves no residual mass: the correction is a draw from p.
+        d = Distribution([0.3, 0.5, 0.2])
+        for seed in range(20):
+            assert correct_sampling(d, d, make_rng(seed)) == sample(d, make_rng(seed))
+
+    def test_sampling_decode_with_draft_equal_to_target_never_raises(self):
+        """Draws within 2**-50 of 1 make ``u * q(x) < p(x)`` fail by roundoff
+        when q is p, or differs from it by roundoff (``temper`` at tau 1):
+        the residual then has no mass, and the correction samples p."""
+
+        class NearOne:
+            def __init__(self, seed):
+                self.gen = make_rng(seed)
+
+            def random(self, size=None):
+                return 1.0 - self.gen.random(size) * 2.0 ** -50
+
+        corrections = 0
+        for seed in range(30):
+            target = random_tabular(4, 2, make_rng(seed), alpha=0.5)
+            for draft in (target, temper(target, 1.0, 0.0)):
+                for horizon in (40, 200):  # per-call draws, then a Uniforms stream
+                    res = speculative_decode(target, draft, [1], horizon,
+                                             ConstantPolicy(4), SAMPLING, NearOne(seed))
+                    assert len(res.output_tokens) == horizon
+                    for r in res.rounds:
+                        if r.correction is not None:
+                            corrections += 1
+                            index = r.start_index
+                            for t in r.proposed_tokens[:r.accepted_count]:
+                                index = (index * 5 + t + 1) % 25
+                            assert target.row(index).probs[r.correction] > 0.0
+        assert corrections > 0
 
     def test_greedy(self):
         assert correct_greedy(Distribution([0.1, 0.7, 0.2])) == 1

@@ -214,8 +214,11 @@ class TestOracleLengths:
         assert lengths.max() > 1
         assert read_t == read_d and len(set(read_t)) == len(read_t)
         assert all(0 <= i < 4 ** 2 for i in read_t)
-        for d in (*target.rows.values(), *draft.rows.values()):
-            assert d._cdf is None and d._list is None
+        for model in (target, draft):
+            assert set(read_t) <= set(model.rows)  # the rows read are cached
+            for index in model.index.tolist():
+                d = model.row(index)
+                assert d._cdf is None and d._list is None
 
     def test_coin_exactly_at_the_accept_ratio_rejects(self):
         # q(0) = 1 and p(0) is the lane's own coin: coin * q < p is false.

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from speclab.dist import entropy, make_rng, normalize
 from speclab.engine import DecodeMode, autoregressive_decode, speculative_decode
-from speclab.models import (BOS, TabularModel, context_index, context_space,
-                            load_corpus, random_tabular, segmented_chain_model,
-                            tabular_from_spec, tabular_to_spec, temper,
-                            train_ngram)
+from speclab.models import (BOS, RowMap, TabularModel, context_index,
+                            context_space, load_corpus, random_tabular,
+                            segmented_chain_model, tabular_from_spec,
+                            tabular_to_spec, temper, train_ngram)
 from speclab.policies import (ConstantPolicy, HeuristicPolicy, SvipConfig,
                               SvipPolicy)
 
@@ -78,6 +78,15 @@ def assert_same_outcome(got, want):
         assert got is want
 
 
+def assert_same_values(got, want):
+    """Same error message, or a row bitwise equal to ``want``: a model
+    copies the rows of its table into one stack."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+
 @st.composite
 def tables(draw):
     """Tables of order 0-3 over vocab 1-5, complete without a default row or
@@ -118,13 +127,15 @@ class TestRowIndex:
             ctx = data.draw(st.lists(st.integers(-3, vocab + 2),
                                      min_size=n, max_size=n))
             want = outcome(reference_row, table, default, k, ctx)
-            assert_same_outcome(outcome(model.next_distribution, ctx), want)
+            got = outcome(model.next_distribution, ctx)
+            assert_same_values(got, want)
             if all(BOS <= t < vocab for t in ctx):
                 index = 0
                 for t in ctx:
                     index = (index * radix + t + 1) % span
                 assert index == context_index(ctx, n, vocab, width)
-                assert_same_outcome(outcome(model.row, index), want)
+                # The row read through the stepped index is the cached row.
+                assert_same_outcome(outcome(model.row, index), got)
 
     def test_out_of_vocab_token_gets_default_row(self):
         model = train_ngram([0, 1, 2, 0, 2, 1], order=3, k_add=0.5, vocab_size=3)
@@ -143,11 +154,21 @@ def shipped_pair():
     return target, temper(target, 2.0, 0.2)
 
 
+def stacked(vocab_size, order, index, probs, default=None):
+    """A ``TabularModel`` over the given stack, unchecked (so it may lack a
+    context with no default row to fall back on)."""
+    model = TabularModel.__new__(TabularModel)
+    model._set(vocab_size, order, index, dict(zip(index.tolist(), range(len(index)))),
+               probs, default)
+    return model
+
+
 def resolution_models():
     target, draft = shipped_pair()
     corpus = [int(t) for t in make_rng(23).integers(0, 4, size=300)]
-    holed = random_tabular(3, 2, make_rng(29))
-    del holed.rows[context_index((0, 2), 2, 3, 2)]  # no default row either
+    full = random_tabular(3, 2, make_rng(29))
+    kept = full.index != context_index((0, 2), 2, 3, 2)  # no default row either
+    holed = stacked(3, 2, full.index[kept], full.probs[kept])
     return {"target": target, "draft": draft,
             "order-0": random_tabular(3, 0, make_rng(31)),
             "ngram": train_ngram(corpus, 3, 0.5, 4), "holed": holed}
@@ -179,7 +200,12 @@ class TestRowResolution:
         that reduced the index modulo the span and read the table."""
         got = {}
         for name, model in resolution_models().items():
-            key_of = {id(row): key for key, row in dict.items(model.rows)}
+            assert len(model.rows) == 0
+            key_of = {}
+            for key, probs in zip(model.index.tolist(), model.probs):
+                row = model.row(key)
+                assert row.probs.tobytes() == probs.tobytes()
+                key_of[id(row)] = key
             key_of[id(model.default)] = "default"
             row, seen = model.row, []
             # Two digits past the model's own window, as a wider pair's index.
@@ -229,6 +255,25 @@ class TestRowResolution:
             "greedy/svip-0.85": "6cdd83f23dc2f60509c89d9458661c23f3481dd982a969c492fb919fb99b6fa8",
         }
 
+    def test_mixed_order_long_decodes(self):
+        """The mixed-order pair at horizon 8k, where the draft's out-of-window
+        indices repeat: digests recorded when a miss was never stored."""
+        target, _ = shipped_pair()
+        corpus = autoregressive_decode(target, [1], 4000, DecodeMode.SAMPLING,
+                                       make_rng(41))
+        draft = train_ngram(corpus, 3, 0.5, target.vocab_size)
+        got = {f"{mode.value}/{name}": decode_digest(
+                   speculative_decode(target, draft, [1], 8000, policy(), mode, make_rng(47)))
+               for mode in DecodeMode for name, policy in SHIPPED_POLICIES.items()}
+        assert got == {
+            "sampling/constant-5": "00fcc3257cf92cd5f1788f9b5e44f616fb0edb30d85b4a79cce0e2e9fdc63093",
+            "sampling/heuristic": "15f0610149d70e81ddaf8e1f8fe4174206946c5df5424b195f4370f42103e246",
+            "sampling/svip-0.85": "3a84ebd36d919fdff6e7430e400e62de4a4d67fed2d133642458899baf2184d7",
+            "greedy/constant-5": "d942c180386fea3635214d0af8d38003b841ae573eafa433012ba32666e89db8",
+            "greedy/heuristic": "f8d13320fa716ecb9c28288314b936e81e51a03bacf8e6c81cdc5f039dae9026",
+            "greedy/svip-0.85": "5f3de3b25fe7d0d93117117aa627eb17dce3ce31b974a195f6854a134b9ed999",
+        }
+
     def test_model_and_draft_freed_without_gc(self):
         """A model holds its rows and their bound lookup; nothing holds the
         model back, so ``del`` frees it with the collector off."""
@@ -240,6 +285,229 @@ class TestRowResolution:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+def per_row_load(doc):
+    """The loader the stacked one replaced: each row's fields checked in
+    turn, then each row normalized on its own, then duplicate contexts,
+    the default row and, without one, every context of the space in
+    ``context_space`` order. Returns each row's bytes by context index and
+    the default row's bytes, or raises the first fault's error."""
+    vocab, order, rows = doc["vocab_size"], doc["context_order"], doc["rows"]
+    contexts, weights = [], []
+    for i, row in enumerate(rows):
+        try:
+            context, probs = row["context"], row["probs"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"invalid model spec: rows[{i}]: {exc}") from exc
+        for value, name in ((context, "context"), (probs, "probs")):
+            if not isinstance(value, list):
+                raise ValueError(f"invalid model spec: rows[{i}].{name}: "
+                                 f"expected a list, got {type(value).__name__}")
+        if len(context) != order:
+            raise ValueError(f"row arity mismatch: rows[{i}] context has {len(context)} tokens")
+        if len(probs) != vocab:
+            raise ValueError(f"row arity mismatch: rows[{i}] has {len(probs)} probs")
+        for k, t in enumerate(context):
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise ValueError(f"invalid model spec: rows[{i}].context[{k}]: "
+                                 f"expected an integer, got {type(t).__name__}")
+            if t != BOS and not 0 <= t < vocab:
+                raise ValueError(f"invalid model spec: rows[{i}] context token {t} out of vocab")
+        contexts.append(tuple(context))
+        weights.append(probs)
+    dists = [normalize(w) for w in weights]
+    table = {}
+    for i, (context, d) in enumerate(zip(contexts, dists)):
+        if context in table:
+            raise ValueError(f"invalid model spec: rows[{i}].context: "
+                             f"duplicates rows[{contexts.index(context)}]")
+        table[context] = d
+    default = doc.get("default")
+    if default is None:
+        for key in context_space(vocab, order):
+            if key not in table:
+                raise ValueError(f"incomplete table: no row for context {key!r} and no default")
+    else:
+        default = normalize(default).probs.tobytes()
+    return {context_index(key, order, vocab, order): d.probs.tobytes()
+            for key, d in table.items()}, default
+
+
+def stacked_load(doc):
+    """``tabular_from_spec``'s rows and default row, as ``per_row_load``
+    returns them; the load itself builds no row."""
+    model = tabular_from_spec(doc)
+    assert len(model.rows) == 0
+    rows = {i: model.row(i).probs.tobytes() for i in model.index.tolist()}
+    return rows, None if model.default is None else model.default.probs.tobytes()
+
+
+@st.composite
+def model_docs(draw, with_default=st.booleans()):
+    """Model documents over vocab 1-4 and order 0-3: every context, or any
+    subset with a default row, in any order; probs mix zeros, integers and
+    reals, with at least one positive entry."""
+    vocab = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 3))
+    keys = list(context_space(vocab, order))
+    default = draw(with_default)
+    if default:
+        keys = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    else:
+        keys = draw(st.permutations(keys))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def probs():
+        w = rng.random(vocab) * 3.0 * (rng.random(vocab) < 0.7)
+        w[rng.integers(vocab)] += 0.25
+        return [int(x) if x > 2.0 else float(x) for x in w]
+
+    doc = {"vocab_size": vocab, "context_order": order,
+           "rows": [{"context": list(key), "probs": probs()} for key in keys]}
+    if default:
+        doc["default"] = probs()
+    return doc
+
+
+BAD_TOKENS = {"bool": True, "float": 1.0, "str": "0", "minus-2": -2, "huge": 2**70}
+MUTATIONS = (*BAD_TOKENS, "vocab", "unreachable", "short-context", "short-probs",
+             "context-not-list", "probs-not-list", "row-not-dict", "missing-key",
+             "duplicate", "drop-row", "all-zero")
+
+
+def mutate(doc, kind, data):
+    """Apply a fault of kind ``kind`` to a drawn row of ``doc``, if that row
+    still has the field the fault changes."""
+    rows = doc["rows"]
+    if not rows:
+        return
+    i = data.draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    if kind == "row-not-dict":
+        rows[i] = data.draw(st.sampled_from([[], "row", 3, None]))
+    elif not isinstance(row, dict):
+        return
+    elif kind == "missing-key":
+        del row[data.draw(st.sampled_from(sorted(row)))]
+    elif kind in ("context-not-list", "probs-not-list"):
+        row[kind.split("-")[0]] = data.draw(st.sampled_from(["01", {"0": 1}, 0, None]))
+    elif kind == "drop-row":
+        del rows[i]
+    elif kind == "duplicate" and isinstance(row.get("context"), list):
+        rows.insert(data.draw(st.integers(i + 1, len(rows))),
+                    {"context": list(row["context"]), "probs": [1.0] * doc["vocab_size"]})
+    elif kind in ("short-probs", "all-zero") and isinstance(row.get("probs"), list):
+        row["probs"] = row["probs"][1:] if kind == "short-probs" else [0] * len(row["probs"])
+    elif isinstance(row.get("context"), list) and row["context"]:
+        context = row["context"]
+        if kind == "short-context":
+            context.pop()
+        elif kind == "unreachable" and len(context) >= 2:  # BOS after a token
+            context[0], context[-1] = 0, BOS
+        elif kind in BAD_TOKENS or kind == "vocab":
+            k = data.draw(st.integers(0, len(context) - 1))
+            context[k] = doc["vocab_size"] if kind == "vocab" else BAD_TOKENS[kind]
+
+
+class TestStackedLoad:
+    """``tabular_from_spec`` checks the rows a column at a time; it loads
+    the rows the per-row loader loaded, bit for bit, and raises that
+    loader's error word for word."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(model_docs())
+    def test_valid_docs_load_rows_bitwise_equal_to_per_row(self, doc):
+        rows, default = stacked_load(doc)
+        assert (rows, default) == per_row_load(doc)
+        assert len(rows) == len(doc["rows"])
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(model_docs(), st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2),
+           st.data())
+    def test_faults_raise_the_per_row_error(self, doc, kinds, data):
+        for kind in kinds:
+            mutate(doc, kind, data)
+        assert outcome(stacked_load, doc) == outcome(per_row_load, doc)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(doc=model_docs(with_default=st.just(False)), data=st.data())
+    def test_each_fault_raises(self, kind, doc, data):
+        """On a table with every context and no default row, each kind of
+        fault raises the per-row loader's error."""
+        if doc["context_order"] < (2 if kind == "unreachable" else 1):  # nothing to change
+            doc["context_order"] = 2
+            doc["rows"] = [{"context": list(key), "probs": [1.0] * doc["vocab_size"]}
+                           for key in context_space(doc["vocab_size"], 2)]
+        mutate(doc, kind, data)
+        got = outcome(stacked_load, doc)
+        assert isinstance(got, str)
+        assert got == outcome(per_row_load, doc)
+
+    def test_first_missing_context_named(self):
+        doc = {"vocab_size": 2, "context_order": 2,
+               "rows": [{"context": list(key), "probs": [1, 1]}
+                        for key in context_space(2, 2) if key not in ((BOS, 1), (0, 0))]}
+        with pytest.raises(ValueError) as exc:
+            tabular_from_spec(doc)
+        assert str(exc.value) == ("incomplete table: no row for context (-1, 1) "
+                                  "and no default")
+
+
+class TestRowCache:
+    """``rows`` is a read cache over the stack: construction builds no row,
+    and each index read is stored, whatever it resolved to."""
+
+    def test_load_and_temper_build_no_row(self):
+        target, draft = shipped_pair()
+        assert len(target.rows) == len(draft.rows) == 0
+        assert len(target.index) == len(target.probs) == 3280
+        assert draft.index is target.index
+        assert not target.probs.flags.writeable and not draft.probs.flags.writeable
+        for model in (random_tabular(3, 2, make_rng(1)),
+                      train_ngram([0, 1, 2, 0, 2, 1], 3, 0.5, 3)):
+            assert len(model.rows) == 0
+
+    def test_rows_built_once(self):
+        target, draft = shipped_pair()
+        for model in (target, draft):
+            for index in model.index[:50].tolist():
+                row = model.row(index)
+                assert model.row(index) is row
+                assert model.next_distribution(list(model.rows.context_of(index))) is row
+            assert len(model.rows) == 50
+
+    def test_out_of_window_read_is_stored(self, monkeypatch):
+        target, _ = shipped_pair()
+        draft = train_ngram([0, 1, 2, 0, 2, 1, 1], 3, 0.5, 3)  # order 2, with a default
+        misses = []
+        missing = RowMap.__missing__
+
+        def counted(rows, index):
+            misses.append(index)
+            return missing(rows, index)
+
+        monkeypatch.setattr(RowMap, "__missing__", counted)
+        span = 4 ** 2
+        for index in (5 * span + 6, 3 * span + 0, -7):  # a row, the default, a negative
+            row = draft.row(index)
+            assert index in draft.rows and index % span in draft.rows
+            assert row is draft.row(index % span)
+            before = len(misses)
+            assert draft.row(index) is row
+            assert len(misses) == before
+        assert misses == [86, 6, 48, 0, -7, 9]
+        index = target.index[7].item()
+        assert target.row(4 ** 7 + index) is target.row(index)
+
+    def test_missing_context_error_not_stored(self):
+        holed = resolution_models()["holed"]
+        hole = context_index((0, 2), 2, 3, 2)
+        for index in (hole, hole + 16, hole - 16):
+            with pytest.raises(ValueError, match=r"no row for context \(0, 2\)"):
+                holed.row(index)
+            assert index not in holed.rows
 
 
 class TestTabularFromSpec:
@@ -404,15 +672,15 @@ class TestTemper:
                  for v in (6, 16, 40)]
         bases.append(train_ngram(corpus, 2, 0.01, 7))
         for base in bases:
-            rows = list(base.rows.items())
+            rows = list(zip(base.index.tolist(), base.probs))
             if base.default is not None:
-                assert 0 not in base.rows  # the all-BOS context has no row
-                rows.append((0, base.default))
+                assert 0 not in base.index  # the all-BOS context has no row
+                rows.append((0, base.default.probs))
             for tau in (1e-3, 0.7, 2.5):
                 for eps in (0.0, 0.1):
                     draft = temper(base, tau, eps)
-                    for index, row in rows:
-                        want = temper_row(row.probs, tau, eps)
+                    for index, probs in rows:
+                        want = temper_row(probs, tau, eps)
                         got = draft.row(index).probs
                         assert got.tobytes() == want.tobytes()
 
@@ -421,7 +689,7 @@ class TestTemper:
                            vocab_size=4)
         draft = temper(base, tau=2.0, eps=0.1)
         assert isinstance(draft, TabularModel)
-        assert list(draft.rows) == list(base.rows)
+        assert draft.index.tolist() == base.index.tolist()
         clone = tabular_from_spec(json.loads(json.dumps(tabular_to_spec(draft))))
         for ctx in ([0], [1], [2], [3], []):
             np.testing.assert_allclose(clone.next_distribution(ctx).probs,
@@ -582,9 +850,9 @@ class TestPinnedTemperedRows:
     def test_tempered_row_digests(self):
         got = {}
         for name, base in self._bases().items():
-            indices = list(base.rows)
+            indices = base.index.tolist()
             if base.default is not None:
-                assert 0 not in base.rows  # the all-BOS context has no row
+                assert 0 not in indices  # the all-BOS context has no row
                 indices.append(0)
             h = hashlib.sha256()
             for tau in (1e-3, 2.0):
