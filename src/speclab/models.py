@@ -154,53 +154,48 @@ class RowMap(dict):
 class TabularModel(AutoregressiveModel):
     """Explicit lookup table from length-k contexts to next-token rows.
 
-    The table is two arrays: ``index``, the context index of each row in
-    table order, and ``probs``, one read-only ``(rows, vocab_size)`` stack
-    of the rows. Construction checks them and builds no Distribution.
+    The table is two arrays: ``index``, the ``context_index`` of each row in
+    table order (``context_indices`` turns context tuples into it), and
+    ``probs``, the ``(rows, vocab_size)`` stack of the rows; both are made
+    read-only. The constructor is the one place a table is checked: the
+    vocab and order, the stack's shape, every stacked row a distribution,
+    every index in ``[0, span)`` and named once, and, without a ``default``
+    row, a row for every reachable context. It builds no Distribution.
+
     ``rows`` is a ``RowMap``, a read cache over the stack, and ``row`` is
     its bound ``__getitem__``: a row is built on its first read, and every
     later read of the same index is one dict lookup returning the same
     object.
-
-    ``table`` maps context tuples to rows, which are copied into the stack
-    in ``table``'s order. A context without a row gets ``default``; without
-    one, the table must hold every context.
     """
 
-    def __init__(self, vocab_size: int, context_order: int,
-                 table: dict[tuple[int, ...], Distribution],
-                 default: Distribution | None = None):
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be positive")
-        if context_order < 0:
-            raise ValueError("context_order must be non-negative")
-        for key, row in table.items():
-            if len(key) != context_order:
-                raise ValueError(f"row arity mismatch: context {key!r}")
-            if len(row) != vocab_size:
-                raise ValueError(f"row arity mismatch: {len(row)} probs for context {key!r}")
-        keys = _context_keys(chain.from_iterable(table), len(table), vocab_size,
-                             context_order)
-        if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
-            bad = next(key for key in table if not all(BOS <= t < vocab_size for t in key))
-            raise ValueError(f"invalid context {bad!r}: token out of vocab")
-        if default is not None and len(default) != vocab_size:
-            raise ValueError("row arity mismatch: default row")
-        index = _context_indices(keys, vocab_size)
-        positions = dict(zip(index.tolist(), range(len(index))))
+    def __init__(self, vocab_size: int, context_order: int, index: np.ndarray,
+                 probs: np.ndarray, default: Distribution | None = None):
+        _check_shape(vocab_size, context_order)
+        index = np.asarray(index)
+        probs = np.asarray(probs, dtype=np.float64)
+        if index.ndim != 1 or index.dtype.kind not in "iuO":
+            raise ValueError("invalid index: expected a 1-d array of context indices")
+        if probs.shape != (len(index), vocab_size):
+            raise ValueError(f"row arity mismatch: a stack of shape {probs.shape} "
+                             f"for {len(index)} rows of {vocab_size} probs")
+        checked_rows(probs)
+        span = (vocab_size + 1) ** context_order
+        index_list = index.tolist()
+        if index_list and (index.min() < 0 or index.max() >= span):
+            bad = next(i for i in index_list if not 0 <= i < span)
+            raise ValueError(f"invalid index: context index {bad} outside [0, {span})")
+        positions = dict(zip(index_list, range(len(index_list))))
+        if len(positions) < len(index_list):
+            first: dict[int, int] = {}
+            for i, key in enumerate(index_list):
+                if first.setdefault(key, i) != i:
+                    raise ValueError(f"invalid model spec: rows[{i}].context: "
+                                     f"duplicates rows[{first[key]}]")
         if default is None:
-            _check_complete(keys, positions, vocab_size, context_order)
-        probs = np.array([row.probs for row in table.values()], dtype=np.float64)
-        self._set(vocab_size, context_order, index, positions,
-                  probs.reshape(len(table), vocab_size), default)
-
-    def _set(self, vocab_size: int, context_order: int, index: np.ndarray,
-             positions: dict[int, int], probs: np.ndarray,
-             default: Distribution | None) -> None:
-        # Every constructor ends here, with checked arrays: also tempered
-        # drafts and loaded model files.
+            _check_complete(index, positions, vocab_size, context_order)
+        elif len(default) != vocab_size:
+            raise ValueError("row arity mismatch: default row")
         index.setflags(write=False)
-        probs.setflags(write=False)
         self.vocab_size = vocab_size
         self.context_order = context_order
         self.index = index
@@ -218,33 +213,57 @@ class TabularModel(AutoregressiveModel):
         return self.default
 
 
-def _context_keys(tokens: Iterable[int], rows: int, vocab_size: int,
-                  order: int) -> np.ndarray:
-    """The ``(rows, order)`` array of the concatenated contexts ``tokens``;
-    Python ints once an index would overflow int64."""
-    dtype = np.int64 if (vocab_size + 1) ** order < 2 ** 63 else object
-    return np.fromiter(tokens, dtype=dtype, count=rows * order).reshape(rows, order)
+def _check_shape(vocab_size: int, context_order: int) -> None:
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be positive")
+    if context_order < 0:
+        raise ValueError("context_order must be non-negative")
 
 
-def _context_indices(keys: np.ndarray, vocab_size: int) -> np.ndarray:
-    """``context_index`` of every row of ``keys`` at once."""
-    radix, order = vocab_size + 1, keys.shape[1]
-    powers = np.array([radix ** e for e in range(order - 1, -1, -1)], dtype=keys.dtype)
+def context_indices(contexts: Iterable[Sequence[int]], vocab_size: int,
+                    order: int) -> np.ndarray:
+    """``context_index`` of every length-``order`` context of ``contexts`` at
+    once, as the ``index`` of a ``TabularModel`` with those rows; Python ints
+    once an index would overflow int64. Raises unless every context has
+    ``order`` tokens in ``[BOS, vocab_size)``."""
+    _check_shape(vocab_size, order)
+    contexts = list(contexts)
+    if not set(map(len, contexts)) <= {order}:
+        bad = next(key for key in contexts if len(key) != order)
+        raise ValueError(f"row arity mismatch: context {tuple(bad)!r}")
+    powers = _place_values(vocab_size + 1, order)
+    keys = np.fromiter(chain.from_iterable(contexts), dtype=powers.dtype,
+                       count=len(contexts) * order).reshape(len(contexts), order)
+    if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
+        bad = next(key for key in contexts if not all(BOS <= t < vocab_size for t in key))
+        raise ValueError(f"invalid context {tuple(bad)!r}: token out of vocab")
     return (keys + 1) @ powers
 
 
-def _check_complete(keys, positions, vocab_size, order):
-    # A context is reachable when its BOS padding all comes first; with
-    # distinct keys, the table is complete when it holds as many reachable
-    # contexts as there are. Otherwise walk the context space, smallest
-    # padding level first, to name the first missing context, verifying
-    # the levels of at most 1M contexts.
+def _place_values(radix: int, order: int) -> np.ndarray:
+    """The weight ``radix ** e`` of each token digit of a context index, most
+    significant first; Python ints once an index would overflow int64."""
+    return np.array([radix ** e for e in range(order - 1, -1, -1)],
+                    dtype=np.int64 if radix ** order < 2 ** 63 else object)
+
+
+def _check_complete(index, positions, vocab_size, order):
+    # A context is reachable when its BOS padding all comes first. The
+    # reachable indices of n tokens are those of n - 1 tokens with one more
+    # token digit (1 to vocab_size) appended; the table is complete when it
+    # holds them all. Otherwise walk the context space, smallest padding
+    # level first, to name the first missing context, verifying the levels
+    # of at most 1M contexts.
     levels = [vocab_size ** n for n in range(order + 1)]
     small = list(takewhile(lambda n: n <= 1_000_000, levels))
-    bos = keys == BOS
-    reachable = np.count_nonzero(~np.any(bos[:, 1:] & ~bos[:, :-1], axis=1))
-    if len(small) == len(levels) and reachable == sum(levels):
-        return
+    if len(small) == len(levels):
+        radix = vocab_size + 1
+        level = reachable = np.zeros(1, dtype=_place_values(radix, order).dtype)
+        for _ in range(order):
+            level = (level[:, None] * radix + np.arange(1, radix)).ravel()
+            reachable = np.concatenate((reachable, level))
+        if np.isin(reachable, index).all():
+            return
     for key in islice(context_space(vocab_size, order), sum(small)):
         if context_index(key, order, vocab_size, order) not in positions:
             raise ValueError(f"incomplete table: no row for context {key!r} and no default")
@@ -265,8 +284,9 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     default row when one is declared.
 
     The rows are checked a column at a time (every context, every token,
-    every probs list), then stacked; when a check fails, ``_check_rows``
-    walks the rows to name the first bad field.
+    every probs list), then stacked and handed to the ``TabularModel``
+    constructor, which checks the table; when a column check fails,
+    ``_check_rows`` walks the rows to name the first bad field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"invalid model spec: expected an object, got {type(doc).__name__}")
@@ -276,8 +296,9 @@ def tabular_from_spec(doc: dict) -> TabularModel:
         rows = doc["rows"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid model spec: missing field {exc}") from exc
+    _check_shape(vocab_size, context_order)  # before the rows are read against them
     _check_list(rows, "rows")
-    keys = None
+    index = None
     try:
         contexts = list(map(itemgetter("context"), rows))
         weights = list(map(itemgetter("probs"), rows))
@@ -285,8 +306,8 @@ def tabular_from_spec(doc: dict) -> TabularModel:
         pass
     else:
         if all(map(isinstance, weights, repeat(list))) and set(map(len, weights)) <= {vocab_size}:
-            keys = _context_stack(contexts, vocab_size, context_order)
-    if keys is None:
+            index = _context_stack(contexts, vocab_size, context_order)
+    if index is None:
         _check_rows(rows, vocab_size, context_order)  # raises: a column check failed
     try:  # np.asarray(weights, dtype=np.float64), in one pass over the values
         weights = np.fromiter(chain.from_iterable(weights), np.float64,
@@ -294,45 +315,28 @@ def tabular_from_spec(doc: dict) -> TabularModel:
     except (ValueError, TypeError):
         pass  # normalize_rows names the first bad row
     probs = normalize_rows(weights).reshape(len(rows), vocab_size)
-    index = _context_indices(keys, vocab_size)
-    index_list = index.tolist()
-    positions = dict(zip(index_list, range(len(index_list))))
-    if len(positions) < len(index_list):
-        first: dict[int, int] = {}
-        for i, key in enumerate(index_list):
-            if first.setdefault(key, i) != i:
-                raise ValueError(f"invalid model spec: rows[{i}].context: "
-                                 f"duplicates rows[{first[key]}]")
     default = None
     if doc.get("default") is not None:
         _check_list(doc["default"], "default")
         if len(doc["default"]) != vocab_size:
             raise ValueError("row arity mismatch: default row")
         default = normalize(doc["default"])
-    else:
-        _check_complete(keys, positions, vocab_size, context_order)
-    model = TabularModel.__new__(TabularModel)
-    model._set(vocab_size, context_order, index, positions, probs, default)
-    return model
+    return TabularModel(vocab_size, context_order, index, probs, default)
 
 
 def _context_stack(contexts: list, vocab_size: int, order: int) -> np.ndarray | None:
-    """The ``(rows, order)`` token array of ``contexts``, or None unless every
-    context is a list of ``order`` JSON integers in ``[BOS, vocab_size)``:
-    the context checks of ``_check_rows``, a column at a time."""
-    if not (all(map(isinstance, contexts, repeat(list)))
-            and set(map(len, contexts)) <= {order}):
+    """``context_indices`` of ``contexts``, or None unless every context is a
+    list of ``order`` JSON integers in ``[BOS, vocab_size)``: the context
+    checks of ``_check_rows``, a column at a time."""
+    if not all(map(isinstance, contexts, repeat(list))):
         return None
-    tokens = list(chain.from_iterable(contexts))
-    if not all(issubclass(t, int) and t is not bool for t in set(map(type, tokens))):
+    if not all(issubclass(t, int) and t is not bool
+               for t in set(map(type, chain.from_iterable(contexts)))):
         return None
     try:
-        keys = _context_keys(tokens, len(contexts), vocab_size, order)
-    except OverflowError:  # past int64, so out of vocab
+        return context_indices(contexts, vocab_size, order)
+    except (ValueError, OverflowError):  # OverflowError: past int64, so out of vocab
         return None
-    if keys.size and (keys.min() < BOS or keys.max() >= vocab_size):
-        return None
-    return keys
 
 
 def _check_rows(rows: list, vocab_size: int, context_order: int) -> None:
@@ -405,17 +409,16 @@ def train_ngram(corpus: Sequence[int], order: int, k_add: float,
     if k_add <= 0:
         raise ValueError("k_add must be positive")
     corpus = [int(t) for t in corpus]
-    counts: dict[tuple[int, ...], np.ndarray] = {}
     k = order - 1
-    for i in range(len(corpus) - k):
-        ctx = tuple(corpus[i:i + k])
-        if ctx not in counts:
-            counts[ctx] = np.zeros(vocab_size)
-        counts[ctx][corpus[i + k]] += 1.0
-    table = {ctx: Distribution((c + k_add) / (c.sum() + k_add * vocab_size))
-             for ctx, c in counts.items()}
+    # Row of each context, in the order the corpus first shows it.
+    rows: dict[tuple[int, ...], int] = {}
+    cells = [rows.setdefault(tuple(corpus[i:i + k]), len(rows)) * vocab_size + corpus[i + k]
+             for i in range(len(corpus) - k)]
+    counts = np.bincount(np.array(cells, dtype=np.int64), minlength=len(rows) * vocab_size)
+    counts = counts.reshape(len(rows), vocab_size).astype(np.float64)
+    probs = (counts + k_add) / (counts.sum(axis=1, keepdims=True) + k_add * vocab_size)
     uniform = Distribution(np.full(vocab_size, 1.0 / vocab_size))
-    return TabularModel(vocab_size, k, table, uniform)
+    return TabularModel(vocab_size, k, context_indices(rows, vocab_size, k), probs, uniform)
 
 
 def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
@@ -424,7 +427,7 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     row = (1 - eps) * normalize(base_row^(1/tau)) + eps * uniform, for every
     row of the base table and for its default row. tau > 1 flattens, tau < 1
     sharpens; eps > 0 guarantees full support (every probability >=
-    eps / vocab_size).
+    eps / vocab_size). The draft shares the base's ``index``.
     """
     if not tau > 0:
         raise ValueError("invalid temperature: tau must be positive")
@@ -441,14 +444,9 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     w /= w.sum(axis=1, keepdims=True)
     if eps > 0.0:
         w = (1.0 - eps) * w + eps / base.vocab_size
-    w = checked_rows(w)
     n = len(base.index)
-    default = unchecked_distribution(w[n]) if base.default is not None else None
-    # The base's index and its default row: nothing the constructors check is new.
-    draft = TabularModel.__new__(TabularModel)
-    draft._set(base.vocab_size, base.context_order, base.index, base.rows.positions,
-               w[:n], default)
-    return draft
+    default = Distribution(w[n]) if base.default is not None else None
+    return TabularModel(base.vocab_size, base.context_order, base.index, w[:n], default)
 
 
 def segmented_chain_model(vocab_size: int, segment_len: int, rng: Rng, *,
@@ -470,13 +468,13 @@ def segmented_chain_model(vocab_size: int, segment_len: int, rng: Rng, *,
     if not 0.0 < fork_peak < 1.0:
         raise ValueError("fork_peak must be in (0, 1)")
     order = segment_len
-    table: dict[tuple[int, ...], Distribution] = {}
-    for ctx in context_space(vocab_size, order):
+    contexts = list(context_space(vocab_size, order))
+    probs = np.empty((len(contexts), vocab_size))
+    for row, ctx in zip(probs, contexts):
         last = ctx[-1]
         if last == BOS or last == 0:
-            row = np.full(vocab_size, (1.0 - fork_peak) / (vocab_size - 1))
+            row.fill((1.0 - fork_peak) / (vocab_size - 1))
             row[1 + int(rng.integers(vocab_size - 1))] = fork_peak
-            table[ctx] = normalize(row)
             continue
         since_boundary = order
         for back, t in enumerate(reversed(ctx)):
@@ -488,10 +486,10 @@ def segmented_chain_model(vocab_size: int, segment_len: int, rng: Rng, *,
         else:
             peak = 2 if last == 1 else 1
         delta = spike_scale * float(rng.uniform(0.5, 2.0))
-        row = np.full(vocab_size, delta / (vocab_size - 1))
+        row.fill(delta / (vocab_size - 1))
         row[peak] = 1.0 - delta
-        table[ctx] = normalize(row)
-    return TabularModel(vocab_size, order, table)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return TabularModel(vocab_size, order, context_indices(contexts, vocab_size, order), probs)
 
 
 def random_tabular(vocab_size: int, context_order: int, rng: Rng, *,
@@ -503,13 +501,15 @@ def random_tabular(vocab_size: int, context_order: int, rng: Rng, *,
     (one token carries all mass up to ~spike_scale), giving the model both
     confident and diffuse contexts like a real generation chain.
     """
-    table: dict[tuple[int, ...], Distribution] = {}
-    for key in context_space(vocab_size, context_order):
+    contexts = list(context_space(vocab_size, context_order))
+    probs = np.empty((len(contexts), vocab_size))
+    for k in range(len(contexts)):
         if spiky_fraction > 0.0 and rng.random() < spiky_fraction:
             delta = spike_scale * rng.uniform(0.5, 2.0)
             row = rng.dirichlet(np.full(vocab_size, 1.0)) * delta
             row[rng.integers(vocab_size)] += 1.0 - delta
-            table[key] = normalize(row)
+            probs[k] = row / row.sum()
         else:
-            table[key] = Distribution(rng.dirichlet(np.full(vocab_size, alpha)))
-    return TabularModel(vocab_size, context_order, table)
+            probs[k] = rng.dirichlet(np.full(vocab_size, alpha))
+    return TabularModel(vocab_size, context_order,
+                        context_indices(contexts, vocab_size, context_order), probs)

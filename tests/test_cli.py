@@ -207,9 +207,13 @@ class TestMalformedConfig:
          "rows[1].context: expected a list, got int"),
         ("target_spec", ["rows", 1, "context", 0], 0,
          "rows[1].context: duplicates rows[0]"),
+        ("target_spec", ["vocab_size"], 0, "vocab_size must be positive"),
+        ("draft_spec", ["vocab_size"], -2, "vocab_size must be positive"),
+        ("target_spec", ["context_order"], -1, "context_order must be non-negative"),
     ], ids=["int-rows", "float-probs", "int-default", "float-vocab",
             "string-vocab", "bool-vocab", "float-order", "float-context-token",
-            "bool-context-token", "int-context", "duplicate-context"])
+            "bool-context-token", "int-context", "duplicate-context", "zero-vocab",
+            "negative-vocab", "negative-order"])
     def test_malformed_model_file(self, tmp_path, target_spec, capsys, path,
                                   keys, value, message):
         with open(target_spec) as f:

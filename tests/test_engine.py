@@ -18,8 +18,8 @@ from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             correct_sampling, speculative_decode,
                             verify_greedy, verify_sampling)
 from speclab.models import (AutoregressiveModel, TabularModel, context_index,
-                            context_space, random_tabular, tabular_from_spec,
-                            temper)
+                            context_indices, context_space, random_tabular,
+                            tabular_from_spec, temper)
 from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                               SvipConfig, SvipPolicy)
 
@@ -593,7 +593,9 @@ def generator(kind, seed):
 
 def assert_same_draws(target, draft, policy_factory, horizons, kind, seed):
     """Decodes in sequence on one shared generator equal ``reference_decode``
-    on another, per-call generator, and leave the two in the same state."""
+    on another, per-call generator, and leave the two in the same state.
+    Each fills the horizon after the prompt it keeps, and its counters add
+    up over its rounds."""
     rng, ref_rng = generator(kind, seed), generator(kind, seed)
     prompt = [0, 1]
     for horizon in horizons:
@@ -604,6 +606,11 @@ def assert_same_draws(target, draft, policy_factory, horizons, kind, seed):
                                policy_factory(), SAMPLING, ref_rng)
         assert res == ref
         assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+        assert len(res.output_tokens) == max_len
+        assert res.output_tokens[:len(prompt)] == prompt
+        assert res.generated == sum(r.accepted_count + 1 for r in res.rounds)
+        assert res.target_forward_calls == len(res.rounds)
+        assert res.draft_forward_calls == sum(len(r.proposed_tokens) for r in res.rounds)
 
 
 class TestDrawStream:
@@ -631,25 +638,28 @@ class TestDrawStream:
         gap = data.draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0]), label="gap")
         rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         keys = list(context_space(vocab, order))
+        index = context_indices(keys, vocab, order)
 
         def row():  # zero-mass entries, at least one positive
             w = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.6)
             w[rng.integers(vocab)] += 0.5
-            return normalize(w)
+            return normalize(w).probs
 
-        rows = {k: row() for k in keys}
-        target = TabularModel(vocab, order, rows)
+        rows = np.array([row() for _ in keys])
+        target = TabularModel(vocab, order, index, rows)
         # gap 0 drafts with the target itself, 1e-6 with a near-identical
         # table, 1 with a table drawn apart from the target.
-        draft = target if gap == 0.0 else TabularModel(vocab, order, {
-            k: normalize((1.0 - gap) * d.probs + gap * row().probs)
-            for k, d in rows.items()})
+        draft = target if gap == 0.0 else TabularModel(vocab, order, index, np.array([
+            normalize((1.0 - gap) * p + gap * row()).probs for p in rows]))
         policy_factory = data.draw(st.sampled_from([
             lambda: ConstantPolicy(3),
             lambda: HeuristicPolicy(2, DEFAULT_CAP),
             lambda: SvipPolicy(SvipConfig(h=0.5)),
         ]), label="policy")
-        horizons = data.draw(st.lists(st.integers(BLOCK - 4, 2 * BLOCK + 8),
+        # Horizons of 1-4 tokens cut every round short; longer ones draw
+        # through the block stream.
+        horizons = data.draw(st.lists(st.one_of(st.integers(1, 4),
+                                                st.integers(BLOCK - 4, 2 * BLOCK + 8)),
                                       min_size=1, max_size=3), label="horizons")
         assert_same_draws(target, draft, policy_factory, horizons,
                           data.draw(st.sampled_from(["pcg64", "mt19937"]), label="kind"),

@@ -22,8 +22,8 @@ from speclab.harness import (ROUND_CSV_FIELDS, CostModel, ExperimentConfig,
                              oracle_lengths, round_csv_columns, run_experiment,
                              sorted_logprob_profile, summarize_experiment)
 from speclab.models import (AutoregressiveModel, TabularModel, context_index,
-                            context_space, random_tabular, tabular_from_spec,
-                            temper)
+                            context_indices, context_space, random_tabular,
+                            tabular_from_spec, temper)
 from speclab.policies import ConstantPolicy, HeuristicPolicy, SvipConfig, SvipPolicy
 from test_dist import FixedDraws
 from test_engine import Recording, reference_decode
@@ -179,7 +179,9 @@ class TestOracleLengths:
             default = row() if data.draw(st.booleans(), label=f"{label} default") else None
             keys = [k for k in context_space(vocab, order)
                     if default is None or rng.random() < 0.6]
-            return TabularModel(vocab, order, {k: row() for k in keys}, default)
+            probs = np.array([row().probs for _ in keys]).reshape(len(keys), vocab)
+            return TabularModel(vocab, order, context_indices(keys, vocab, order), probs,
+                                default)
 
         target = model("target")
         draft = target if data.draw(st.booleans(), label="draft is target") else model("draft")
@@ -224,8 +226,8 @@ class TestOracleLengths:
         # q(0) = 1 and p(0) is the lane's own coin: coin * q < p is false.
         key = (5, 0, 3, harness_module._ORACLE_SALT)
         _, coin = make_rng(key).random(2)
-        draft = TabularModel(2, 0, {(): Distribution([1.0, 0.0])})
-        target = TabularModel(2, 0, {(): Distribution([coin, 1.0 - coin])})
+        draft = TabularModel(2, 0, np.array([0]), np.array([[1.0, 0.0]]))
+        target = TabularModel(2, 0, np.array([0]), np.array([[coin, 1.0 - coin]]))
         assert scalar_oracle(target, draft, [], SAMPLING, key, 3) == 0
         got = oracle_lengths(target, draft, [0], SAMPLING, KeyedStreams([key]), 3)
         assert got.tolist() == [0]
@@ -441,7 +443,8 @@ class TestExactSequenceProbs:
                 w[rng.random(vocab) < 0.3] = 0.0  # zero-mass entries
                 w[rng.integers(vocab)] += 0.5
                 table[key] = normalize(w)
-            target = TabularModel(vocab, order, table)
+            target = TabularModel(vocab, order, context_indices(table, vocab, order),
+                                  np.array([d.probs for d in table.values()]))
             for prompt_len in (1, order + 2):
                 prompt = rng.integers(vocab, size=prompt_len).tolist()
                 for horizon in range(1, 5):

@@ -11,16 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab.dist import entropy, make_rng, normalize
+from speclab.dist import Distribution, entropy, make_rng, normalize
 from speclab.engine import DecodeMode, autoregressive_decode, speculative_decode
 from speclab.models import (BOS, RowMap, TabularModel, context_index,
-                            context_space, load_corpus, random_tabular,
+                            context_indices, context_space, load_corpus, random_tabular,
                             segmented_chain_model, tabular_from_spec,
                             tabular_to_spec, temper, train_ngram)
 from speclab.policies import (ConstantPolicy, HeuristicPolicy, SvipConfig,
                               SvipPolicy)
 
 SHIPPED_TARGET = Path(__file__).resolve().parents[1] / "configs" / "segmented_target.json"
+
+
+def from_table(vocab_size, order, table, default=None):
+    """The ``TabularModel`` of a table of Distributions keyed by context."""
+    probs = np.array([row.probs for row in table.values()]).reshape(len(table), vocab_size)
+    return TabularModel(vocab_size, order, context_indices(table, vocab_size, order),
+                        probs, default)
 
 
 def assert_valid_distribution(d, vocab_size):
@@ -108,7 +115,7 @@ def tables(draw):
 
     table = {key: row() for key in keys}
     default = row() if with_default else None
-    return TabularModel(vocab, order, table, default), table, default
+    return from_table(vocab, order, table, default), table, default
 
 
 class TestRowIndex:
@@ -143,9 +150,10 @@ class TestRowIndex:
         assert model.next_distribution([-2, 1]) is model.default
 
     def test_table_key_out_of_vocab_rejected(self):
-        row = normalize([1.0, 1.0])
         with pytest.raises(ValueError, match=r"invalid context \(0, 2\)"):
-            TabularModel(2, 2, {(0, 2): row}, row)
+            context_indices([(BOS, 0), (0, 2)], 2, 2)
+        with pytest.raises(ValueError, match=r"row arity mismatch: context \(0,\)"):
+            context_indices([(BOS, 0), (0,)], 2, 2)
 
 
 def shipped_pair():
@@ -154,24 +162,25 @@ def shipped_pair():
     return target, temper(target, 2.0, 0.2)
 
 
-def stacked(vocab_size, order, index, probs, default=None):
-    """A ``TabularModel`` over the given stack, unchecked (so it may lack a
-    context with no default row to fall back on)."""
-    model = TabularModel.__new__(TabularModel)
-    model._set(vocab_size, order, index, dict(zip(index.tolist(), range(len(index)))),
-               probs, default)
-    return model
+def holed(model, context):
+    """``model`` without the row of ``context`` and with no default row to
+    fall back on. The constructor refuses such a table, so it is built with
+    a default row that is then dropped from the row cache."""
+    vocab, order = model.vocab_size, model.context_order
+    kept = model.index != context_index(context, order, vocab, order)
+    holed = TabularModel(vocab, order, model.index[kept], model.probs[kept],
+                         normalize(np.ones(vocab)))
+    holed.rows.default = None
+    return holed
 
 
 def resolution_models():
     target, draft = shipped_pair()
     corpus = [int(t) for t in make_rng(23).integers(0, 4, size=300)]
-    full = random_tabular(3, 2, make_rng(29))
-    kept = full.index != context_index((0, 2), 2, 3, 2)  # no default row either
-    holed = stacked(3, 2, full.index[kept], full.probs[kept])
     return {"target": target, "draft": draft,
             "order-0": random_tabular(3, 0, make_rng(31)),
-            "ngram": train_ngram(corpus, 3, 0.5, 4), "holed": holed}
+            "ngram": train_ngram(corpus, 3, 0.5, 4),
+            "holed": holed(random_tabular(3, 2, make_rng(29)), (0, 2))}
 
 
 SHIPPED_POLICIES = {
@@ -579,6 +588,16 @@ class TestTabularFromSpec:
                          {"context": [1], "probs": probs}],
             })
 
+    @pytest.mark.parametrize("vocab, order, default, message", [
+        (0, 0, None, "vocab_size must be positive"),
+        (-2, 0, [0.5, 0.5], "vocab_size must be positive"),
+        (2, -1, None, "context_order must be non-negative"),
+    ])
+    def test_bad_vocab_or_order_without_rows(self, vocab, order, default, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tabular_from_spec({"vocab_size": vocab, "context_order": order,
+                               "rows": [], "default": default})
+
     def test_context_token_out_of_vocab(self):
         with pytest.raises(ValueError, match=r"rows\[1\] context token 2 out of vocab"):
             tabular_from_spec({
@@ -759,19 +778,90 @@ class TestSegmentedChainModel:
 
 
 class TestTabularModelDirect:
+    """The constructor checks every table it is given, whoever builds it."""
+
+    @staticmethod
+    def table():
+        """A complete vocab-2, order-1 table: contexts (BOS,), (0,), (1,)."""
+        return np.array([0, 1, 2]), np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+
+    def test_arrays_kept_read_only(self):
+        index, probs = self.table()
+        model = TabularModel(2, 1, index, probs)
+        assert model.index is index and model.probs is probs
+        assert not index.flags.writeable and not probs.flags.writeable
+        assert len(model.rows) == 0
+
+    @pytest.mark.parametrize("vocab, order, message", [
+        (0, 1, "vocab_size must be positive"),
+        (-2, 1, "vocab_size must be positive"),
+        (2, -1, "context_order must be non-negative"),
+    ])
+    def test_bad_vocab_or_order(self, vocab, order, message):
+        index, probs = self.table()
+        with pytest.raises(ValueError, match=message):
+            TabularModel(vocab, order, index, probs)
+
+    @pytest.mark.parametrize("index, message", [
+        ([0, 1, 1], r"^invalid model spec: rows\[2\]\.context: duplicates rows\[1\]$"),
+        ([2, 0, 2], r"^invalid model spec: rows\[2\]\.context: duplicates rows\[0\]$"),
+        ([0, 1, 3], r"^invalid index: context index 3 outside \[0, 3\)$"),
+        ([-1, 1, 2], r"^invalid index: context index -1 outside \[0, 3\)$"),
+        ([0.0, 1.0, 2.0], r"^invalid index: expected a 1-d array"),
+    ])
+    def test_bad_index(self, index, message):
+        _, probs = self.table()
+        with pytest.raises(ValueError, match=message):
+            TabularModel(2, 1, np.array(index), probs, normalize([1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (6,)])
+    def test_stack_shape_mismatch(self, shape):
+        index, _ = self.table()
+        with pytest.raises(ValueError, match=r"row arity mismatch: a stack of shape"):
+            TabularModel(2, 1, index, np.full(shape, 1.0 / shape[-1]))
+
+    @pytest.mark.parametrize("row", [[1.25, -0.25], [-1e-15, 1.0], [0.5, 0.25],
+                                     [0.5, 0.5 + 1e-8], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_row_not_a_distribution(self, row):
+        index, probs = self.table()
+        probs[1] = row
+        with pytest.raises(ValueError, match="a stacked row is not a distribution"):
+            TabularModel(2, 1, index, probs)
+
+    def test_default_row_arity(self):
+        index, probs = self.table()
+        with pytest.raises(ValueError, match="row arity mismatch: default row"):
+            TabularModel(2, 1, index, probs, normalize([1.0, 1.0, 1.0]))
+
     def test_incomplete_without_default_raises(self):
-        from speclab.dist import Distribution
-        with pytest.raises(ValueError, match="incomplete table"):
-            TabularModel(2, 1, {(0,): Distribution([0.5, 0.5])})
+        with pytest.raises(ValueError, match=r"incomplete table: no row for context \(-1,\)"):
+            TabularModel(2, 1, np.array([1, 2]), np.full((2, 2), 0.5))
         # vocab 1001, order 2: the unpadded level has 1001^2 > 1M contexts.
         # Smaller levels are still checked, and a gap there is named.
-        row = Distribution(np.full(1001, 1.0 / 1001))
-        table = {(BOS, BOS): row, **{(BOS, t): row for t in range(1001)}}
+        index = context_indices([(BOS, BOS), *((BOS, t) for t in range(1001))], 1001, 2)
+        probs = np.full((len(index), 1001), 1.0 / 1001)
         with pytest.raises(ValueError, match="too large to verify"):
-            TabularModel(1001, 2, table)
-        del table[(BOS, 5)]
+            TabularModel(1001, 2, index, probs)
+        kept = index != context_index((BOS, 5), 2, 1001, 2)
         with pytest.raises(ValueError, match=r"no row for context \(-1, 5\)"):
-            TabularModel(1001, 2, table)
+            TabularModel(1001, 2, index[kept], probs[kept])
+
+    def test_generators_build_no_distribution(self, monkeypatch):
+        """The generators hand the constructor a stack; a row read later is
+        a view of it. Neither goes through ``Distribution.__init__``."""
+        calls = []
+        init = Distribution.__init__
+        monkeypatch.setattr(Distribution, "__init__",
+                            lambda d, probs: calls.append(probs) or init(d, probs))
+        models = [random_tabular(4, 2, make_rng(1)),
+                  random_tabular(4, 2, make_rng(2), alpha=0.3, spiky_fraction=0.5),
+                  segmented_chain_model(3, 4, make_rng(3))]
+        for model in models:
+            for index in model.index.tolist():
+                assert_valid_distribution(model.row(index), model.vocab_size)
+        assert calls == []
+        normalize([1.0, 1.0])  # the counter sees a Distribution built the checked way
+        assert len(calls) == 1
 
 
 def _digest(obj) -> str:
