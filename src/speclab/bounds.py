@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import (Distribution, Rng, cross_entropy, distribution_rows, entropy,
-                   kl_divergence, tvd)
+from .dist import (Distribution, Rng, cross_entropy, distribution_rows,
+                   kl_divergence, row_dots, row_entropies)
 
 _EPS = 1e-15
 _FPMIN = 1e-300
@@ -250,21 +250,48 @@ class BoundReport:
 
 
 def bound_report(p: Distribution, q: Distribution, c: float) -> BoundReport:
-    """The standalone functions' values for one pair, with the cross-entropy
-    computed once and KL(q||p) derived from it as ``kl_divergence`` does."""
-    h_q = entropy(q)
-    h_qp = cross_entropy(q, p)
-    ratio = h_qp / h_q if h_q > 0.0 else float("nan")
-    kl = h_qp - h_q  # +inf when q puts mass where p has none
-    kl = kl if kl > 0.0 else 0.0
-    return BoundReport(
-        beta=acceptance_rate(p, q),
-        tvd=tvd(p, q),
-        kl_q_p=kl,
-        pinsker=_pinsker(kl),
-        bh=_bh(kl),
-        approx=approx_bound(h_q, c),
-        h_q=h_q,
-        h_qp=h_qp,
-        gamma_ratio=ratio,
-    )
+    """``bound_reports`` of the one pair (p, q)."""
+    return bound_reports([(p, q)], c)[0]
+
+
+def bound_reports(pairs: Sequence[tuple[Distribution, Distribution]],
+                  c: float) -> list[BoundReport]:
+    """The standalone functions' values for every (p, q) pair over one
+    vocab, bit for bit, computed over the stacks of the pairs' rows.
+
+    β and TVD are row sums; H(q) is ``row_entropies``; H(q,p) is one
+    ``row_dots``, except on a pair with a zero entry, which keeps
+    ``cross_entropy``'s mask (and its +inf). KL(q||p) is derived from the
+    two as ``kl_divergence`` does.
+    """
+    if not pairs:
+        return []
+    p = np.array([pair[0].probs for pair in pairs])
+    q = np.array([pair[1].probs for pair in pairs])
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: stacks of shapes {p.shape} and {q.shape}")
+    beta = np.minimum(p, q).sum(axis=1).tolist()
+    tvd = (0.5 * np.abs(p - q).sum(axis=1)).tolist()
+    h_q = row_entropies(q).tolist()
+    full = np.all(p > 0.0, axis=1) & np.all(q > 0.0, axis=1)
+    h_qp = np.empty(len(pairs))
+    h_qp[full] = -row_dots(q[full], np.log(p[full]))
+    h_qp = h_qp.tolist()
+    for k in np.flatnonzero(~full).tolist():
+        h_qp[k] = cross_entropy(pairs[k][1], pairs[k][0])
+    reports = []
+    for b, t, hq, hqp in zip(beta, tvd, h_q, h_qp):
+        kl = hqp - hq  # +inf when q puts mass where p has none
+        kl = kl if kl > 0.0 else 0.0
+        reports.append(BoundReport(
+            beta=b,
+            tvd=t,
+            kl_q_p=kl,
+            pinsker=_pinsker(kl),
+            bh=_bh(kl),
+            approx=approx_bound(hq, c),
+            h_q=hq,
+            h_qp=hqp,
+            gamma_ratio=hqp / hq if hq > 0.0 else float("nan"),
+        ))
+    return reports

@@ -20,7 +20,7 @@ from types import NoneType
 from typing import Callable, Sequence
 
 from . import __version__
-from .bounds import BoundReport, bound_report, sample_pairs, validity_condition
+from .bounds import BoundReport, bound_reports, sample_pairs, validity_condition
 from .dist import make_rng
 from .engine import DecodeMode
 from .harness import (CostModel, ExperimentConfig, check_equivalence_size,
@@ -373,8 +373,7 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     if not 0 <= eps < 1:
         raise ValidationError("pairs.eps: must be in [0, 1)")
 
-    reports = [bound_report(p, q, c) for p, q in
-               sample_pairs(vocab, make_rng(seed), count, kind, tau, eps)]
+    reports = bound_reports(sample_pairs(vocab, make_rng(seed), count, kind, tau, eps), c)
     reports.sort(key=lambda r: r.beta)
     valid = [validity_condition(r.gamma_ratio, c) for r in reports]
     if args.format == "json":

@@ -323,11 +323,38 @@ def distribution_rows(p: np.ndarray) -> list[Distribution]:
 def entropy(d: Distribution) -> float:
     """H(d) = -sum d(x) ln d(x), with 0 ln 0 = 0. In [0, ln V]."""
     if d._entropy is None:
-        p = d.probs
-        nz = p[p > 0.0]
-        h = -float(np.dot(nz, np.log(nz)))
-        d._entropy = h if h > 0.0 else 0.0
+        d._entropy = _row_entropy(d.probs)
     return d._entropy
+
+
+def _row_entropy(p: np.ndarray) -> float:
+    nz = p[p > 0.0]
+    h = -float(np.dot(nz, np.log(nz)))
+    return h if h > 0.0 else 0.0
+
+
+def row_entropies(p: np.ndarray) -> np.ndarray:
+    """``entropy`` of every row of the 2-d stack ``p``, bit for bit.
+
+    Rows with no zero entry go through one ``row_dots``; a row with a zero
+    keeps ``entropy``'s masked dot, since padding ``0 ln 0`` with zeros
+    changes the length of the dot and so its rounding.
+    """
+    h = np.empty(len(p))
+    full = np.all(p > 0.0, axis=1)
+    some = p[full]
+    h[full] = -row_dots(some, np.log(some))
+    for k in np.flatnonzero(~full).tolist():
+        h[k] = _row_entropy(p[k])
+    return np.where(h > 0.0, h, 0.0)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[k], b[k])`` for every row k of two 2-d stacks of one shape,
+    bit for bit: numpy runs a stacked matmul of ``(1, V)`` by ``(V, 1)``
+    blocks through the same vector dot as ``np.dot`` of two vectors, where
+    a row-wise sum of products rounds differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def cross_entropy(q: Distribution, p: Distribution) -> float:

@@ -8,6 +8,7 @@ concurrent decode sessions.
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain, islice, product, repeat, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -15,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .dist import (Distribution, Rng, checked_rows, normalize, normalize_rows,
-                   unchecked_distribution)
+                   row_entropies, unchecked_distribution)
 
 # Reserved begin-of-sequence marker used to left-pad short contexts. It never
 # appears in the output vocabulary (tokens are >= 0).
@@ -109,12 +110,17 @@ class RowMap(dict):
     ``[0, span)`` gets the row of ``index % span``; a context without a
     row gets ``default``, or raises when there is none.
 
+    The first table-row miss computes every row's entropy and cdf at once
+    (``row_entropies`` and a stacked ``cumsum``, the values ``entropy`` and
+    ``Distribution.cdf`` give), and each table row is built with both set.
+
     It holds what a miss needs and nothing of its model: a model's ``row``
     is this map's bound ``__getitem__``, and no reference cycle keeps the
     model alive until a garbage-collector pass.
     """
 
-    __slots__ = ("positions", "probs", "span", "radix", "order", "default")
+    __slots__ = ("positions", "probs", "span", "radix", "order", "default",
+                 "entropies", "cdfs")
 
     def __init__(self, positions: dict[int, int], probs: np.ndarray, vocab_size: int,
                  order: int, default: Distribution | None):
@@ -125,11 +131,17 @@ class RowMap(dict):
         self.order = order
         self.span = self.radix ** order
         self.default = default
+        self.entropies = self.cdfs = None  # of every table row, on the first miss
 
     def __missing__(self, index: int) -> Distribution:
         k = self.positions.get(index)
         if k is not None:
+            if self.cdfs is None:
+                self.entropies = row_entropies(self.probs)
+                self.cdfs = np.cumsum(self.probs, axis=1)
             row = unchecked_distribution(self.probs[k])
+            row._entropy = self.entropies.item(k)
+            row._cdf = self.cdfs[k].tolist()
         else:
             reduced = index % self.span
             if reduced != index:
@@ -180,17 +192,10 @@ class TabularModel(AutoregressiveModel):
                              f"for {len(index)} rows of {vocab_size} probs")
         checked_rows(probs)
         span = (vocab_size + 1) ** context_order
-        index_list = index.tolist()
-        if index_list and (index.min() < 0 or index.max() >= span):
-            bad = next(i for i in index_list if not 0 <= i < span)
+        if len(index) and (index.min() < 0 or index.max() >= span):
+            bad = next(i for i in index.tolist() if not 0 <= i < span)
             raise ValueError(f"invalid index: context index {bad} outside [0, {span})")
-        positions = dict(zip(index_list, range(len(index_list))))
-        if len(positions) < len(index_list):
-            first: dict[int, int] = {}
-            for i, key in enumerate(index_list):
-                if first.setdefault(key, i) != i:
-                    raise ValueError(f"invalid model spec: rows[{i}].context: "
-                                     f"duplicates rows[{first[key]}]")
+        positions = _row_positions(index)
         if default is None:
             _check_complete(index, positions, vocab_size, context_order)
         elif len(default) != vocab_size:
@@ -211,6 +216,37 @@ class TabularModel(AutoregressiveModel):
         if self.default is None:
             raise ValueError(f"incomplete table: no row for context {context!r}")
         return self.default
+
+
+# id of an index array a model was built on -> a copy of the array and its
+# row positions, for as long as the array lives.
+_POSITIONS: dict[int, tuple[np.ndarray, dict[int, int]]] = {}
+
+
+def _row_positions(index: np.ndarray) -> dict[int, int]:
+    """Each context index of ``index`` -> its row, raising on a duplicate.
+
+    A model built on an index array another model was built on (a
+    ``temper`` draft on its base's) shares that model's dict, as long as
+    the array still equals the copy taken then, so a later write to the
+    array makes a new dict.
+    """
+    key = id(index)
+    seen = _POSITIONS.get(key)
+    if seen is not None and np.array_equal(seen[0], index):
+        return seen[1]
+    index_list = index.tolist()
+    positions = dict(zip(index_list, range(len(index_list))))
+    if len(positions) < len(index_list):
+        first: dict[int, int] = {}
+        for i, context in enumerate(index_list):
+            if first.setdefault(context, i) != i:
+                raise ValueError(f"invalid model spec: rows[{i}].context: "
+                                 f"duplicates rows[{first[context]}]")
+    if seen is None:
+        weakref.finalize(index, _POSITIONS.pop, key, None)
+    _POSITIONS[key] = (index.copy(), positions)
+    return positions
 
 
 def _check_shape(vocab_size: int, context_order: int) -> None:
@@ -403,6 +439,7 @@ def train_ngram(corpus: Sequence[int], order: int, k_add: float,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    _check_shape(vocab_size, order - 1)
     for t in corpus:
         if not 0 <= t < vocab_size:
             raise ValueError(f"invalid corpus token: {t}")
@@ -427,7 +464,8 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     row = (1 - eps) * normalize(base_row^(1/tau)) + eps * uniform, for every
     row of the base table and for its default row. tau > 1 flattens, tau < 1
     sharpens; eps > 0 guarantees full support (every probability >=
-    eps / vocab_size). The draft shares the base's ``index``.
+    eps / vocab_size). The draft shares the base's ``index`` and its row
+    positions.
     """
     if not tau > 0:
         raise ValueError("invalid temperature: tau must be positive")

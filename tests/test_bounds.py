@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from speclab.bounds import (BoundReport, acceptance_rate, approx_bound,
-                            bh_bound, bound_report, fit_gamma_ratio,
+                            bh_bound, bound_report, bound_reports, fit_gamma_ratio,
                             gamma_validity_prob, gaussian_validity_prob,
                             lower_incomplete_gamma, pinsker_bound,
                             regularized_lower_incomplete_gamma, sample_pair,
                             sample_pairs, validity_condition)
 from speclab.dist import (Distribution, cross_entropy, entropy, kl_divergence,
                           make_rng, tvd)
+from test_dist import STACK_VOCAB, random_stack
 
 KL_1 = 0.3680642071684971  # direct sum for q=[.9,.1], p=[.5,.5]
 
@@ -255,20 +256,44 @@ class TestBoundReport:
             (Distribution([0.0, 1.0, 0.0]), Distribution([0.0, 1.0, 0.0])),
             (Distribution([0.3, 0.7, 0.0]), Distribution([0.0, 1.0, 0.0])),
         ]
-        c = 0.18
         for p, q in pairs:
-            h_q, h_qp = entropy(q), cross_entropy(q, p)
-            expected = BoundReport(
-                beta=acceptance_rate(p, q), tvd=tvd(p, q),
-                kl_q_p=kl_divergence(q, p), pinsker=pinsker_bound(p, q),
-                bh=bh_bound(p, q), approx=approx_bound(h_q, c), h_q=h_q,
-                h_qp=h_qp,
-                gamma_ratio=h_qp / h_q if h_q > 0.0 else float("nan"))
-            rep = bound_report(p, q, c)
-            for name in BoundReport.__dataclass_fields__:
-                # repr tells -0.0 from 0.0 and matches nan with nan
-                got, want = getattr(rep, name), getattr(expected, name)
-                assert repr(got) == repr(want), name
+            assert_same_report(bound_report(p, q, 0.18), standalone_report(p, q, 0.18))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(vocab=STACK_VOCAB, n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+           c=st.sampled_from([0.18, 1.0]))
+    def test_stack_equals_standalone_functions(self, vocab, n, seed, c):
+        rng = make_rng(seed)
+        p, q = random_stack(rng, n, vocab), random_stack(rng, n, vocab)
+        pairs = [(Distribution(a), Distribution(b)) for a, b in zip(p, q)]
+        if vocab > 1 and n:
+            # a point-mass q (NaN ratio), and p = 0 where q > 0 (infinite KL)
+            pairs[0] = (pairs[0][0], Distribution(np.eye(vocab)[vocab - 1]))
+            pairs[-1] = (Distribution(np.eye(vocab)[0]), pairs[-1][1])
+        reports = bound_reports(pairs, c)
+        assert len(reports) == n
+        for rep, (a, b) in zip(reports, pairs):
+            assert_same_report(rep, standalone_report(a, b, c))
+
+    def test_pair_of_mismatched_lengths_raises(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            bound_report(Distribution([0.5, 0.5]), Distribution([0.2, 0.3, 0.5]), 0.18)
+
+
+def standalone_report(p, q, c):
+    """Every ``BoundReport`` field from the standalone functions of one pair."""
+    h_q, h_qp = entropy(q), cross_entropy(q, p)
+    return BoundReport(
+        beta=acceptance_rate(p, q), tvd=tvd(p, q),
+        kl_q_p=kl_divergence(q, p), pinsker=pinsker_bound(p, q),
+        bh=bh_bound(p, q), approx=approx_bound(h_q, c), h_q=h_q, h_qp=h_qp,
+        gamma_ratio=h_qp / h_q if h_q > 0.0 else float("nan"))
+
+
+def assert_same_report(got, want):
+    for name in BoundReport.__dataclass_fields__:
+        # repr tells -0.0 from 0.0 and matches nan with nan
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
 def reference_pair(vocab_size, rng, kind, tau, eps):

@@ -11,7 +11,7 @@ import speclab.dist as dist_module
 from speclab.dist import (BLOCK, Distribution, KeyedStreams, Uniforms, argmax,
                           cross_entropy, distribution_rows, entropy,
                           kl_divergence, make_rng, normalize, normalize_rows,
-                          residual, sample, sample_rows, tvd,
+                          residual, row_entropies, sample, sample_rows, tvd,
                           unchecked_distribution)
 
 LN2 = 0.6931471805599453
@@ -27,6 +27,28 @@ def kl_direct(q, p):
                 return float("inf")
             total += qi * math.log(qi / pi)
     return total
+
+
+def random_stack(rng, n, vocab):
+    """``n`` random rows over ``vocab`` tokens: Dirichlet rows of one
+    concentration, about half of them with zero entries, and some point
+    masses and rows holding a subnormal entry."""
+    w = rng.dirichlet(np.full(vocab, rng.choice([0.05, 1.0, 20.0])), size=n)
+    holed = rng.random(n) < 0.5
+    w[holed] *= rng.random((holed.sum(), vocab)) >= rng.random((holed.sum(), 1))
+    point = rng.random(n) < 0.1
+    w[point] = 0.0
+    w[point, rng.integers(vocab, size=point.sum())] = 1.0
+    w[rng.random(n) < 0.1, 0] = 5e-324
+    empty = w.sum(axis=1) == 0.0
+    w[empty, rng.integers(vocab, size=empty.sum())] = 1.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+# Vocab sizes for stacks: small ones, the lengths around 16 (from 16 on,
+# zero-padding a row changes the rounding of its dot), and up to 1000.
+STACK_VOCAB = st.one_of(st.sampled_from([1, 2, 3, 15, 16, 17, 64, 1000]),
+                        st.integers(1, 1000))
 
 
 class TestNormalizeRows:
@@ -138,6 +160,15 @@ class TestEntropy:
             d = Distribution(rng.dirichlet(np.ones(v)))
             h = entropy(d)
             assert 0.0 <= h <= math.log(v) + 1e-12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(vocab=STACK_VOCAB, n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_entropies_bit_for_bit(self, vocab, n, seed):
+        p = random_stack(make_rng(seed), n, vocab)
+        want = np.array([entropy(Distribution(row)) for row in p], dtype=np.float64)
+        got = row_entropies(p)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCrossEntropy:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import speclab.engine as engine_module
 import speclab.harness as harness_module
-from speclab.dist import (Distribution, KeyedStreams, Uniforms, argmax,
+from speclab.dist import (Distribution, KeyedStreams, Uniforms, argmax, entropy,
                           kl_divergence, make_rng, normalize, residual, sample)
 from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             verify_greedy, verify_sampling)
@@ -218,9 +218,13 @@ class TestOracleLengths:
         assert all(0 <= i < 4 ** 2 for i in read_t)
         for model in (target, draft):
             assert set(read_t) <= set(model.rows)  # the rows read are cached
-            for index in model.index.tolist():
+            # The oracle fills no memo of its own on the rows it reads; every
+            # table row carries its own row's entropy and cdf from the stack.
+            for index, probs in zip(model.index.tolist(), model.probs):
                 d = model.row(index)
-                assert d._cdf is None and d._list is None
+                assert d._list is None and d._residuals is None
+                fresh = Distribution(probs)
+                assert d._cdf == fresh.cdf() and d._entropy == entropy(fresh)
 
     def test_coin_exactly_at_the_accept_ratio_rejects(self):
         # q(0) = 1 and p(0) is the lane's own coin: coin * q < p is false.

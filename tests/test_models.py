@@ -471,8 +471,10 @@ class TestRowCache:
     def test_load_and_temper_build_no_row(self):
         target, draft = shipped_pair()
         assert len(target.rows) == len(draft.rows) == 0
+        assert target.rows.cdfs is None and draft.rows.cdfs is None
         assert len(target.index) == len(target.probs) == 3280
         assert draft.index is target.index
+        assert draft.rows.positions is target.rows.positions
         assert not target.probs.flags.writeable and not draft.probs.flags.writeable
         for model in (random_tabular(3, 2, make_rng(1)),
                       train_ngram([0, 1, 2, 0, 2, 1], 3, 0.5, 3)):
@@ -486,6 +488,53 @@ class TestRowCache:
                 assert model.row(index) is row
                 assert model.next_distribution(list(model.rows.context_of(index))) is row
             assert len(model.rows) == 50
+
+    def test_rows_carry_their_own_entropy_and_cdf(self):
+        target, _ = shipped_pair()
+        models = [target] + [temper(target, tau, eps) for tau, eps in
+                             ((2.0, 0.2), (0.5, 0.0), (1.0, 0.1), (3.0, 0.0), (0.3, 0.05))]
+        models += [random_tabular(5, 2, make_rng(3), alpha=0.05, spiky_fraction=0.3),
+                   train_ngram([0, 1, 2, 0, 2, 1, 1], 3, 0.5, 3)]
+        for model in models:
+            span = model.rows.span
+            for k, index in enumerate(model.index.tolist()):
+                fresh = Distribution(model.probs[k])
+                # an out-of-window read first: it resolves through the table row
+                row = model.row(index + span)
+                assert row is model.row(index) and np.shares_memory(row.probs, model.probs[k])
+                assert row._entropy == entropy(fresh) and row._cdf == fresh.cdf()
+            if model.default is not None:
+                assert model.row(0)._cdf is None  # the default row is not in the stack
+
+    def test_stats_computed_once_on_the_first_table_row(self, monkeypatch):
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        model = train_ngram([0, 1, 2, 0, 2, 1, 1], 3, 0.5, 3)
+        model.row(0)  # the default row
+        assert calls == [] and model.rows.cdfs is None
+        for index in model.index.tolist():
+            model.row(index)
+        assert calls == [1]
+
+    def test_shared_positions_follow_later_writes(self):
+        index = context_indices([(BOS,), (0,), (1,)], 2, 1)
+        probs = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+        first = TabularModel(2, 1, index, probs)
+        again = TabularModel(2, 1, index, probs[::-1].copy())
+        assert again.rows.positions is first.rows.positions
+        assert again.row(index[0].item()).probs.tolist() == [0.0, 1.0]
+        index.setflags(write=True)
+        index[[0, 2]] = index[[2, 0]]  # swap two rows' contexts in place
+        index.setflags(write=False)
+        moved = TabularModel(2, 1, index, probs)
+        assert moved.rows.positions is not first.rows.positions
+        assert moved.rows.positions == {2: 0, 1: 1, 0: 2}
+        assert moved.next_distribution([1]).probs.tolist() == [0.5, 0.5]
+        index.setflags(write=True)
+        index[1] = index[0]
+        with pytest.raises(ValueError, match=r"rows\[1\]\.context: duplicates rows\[0\]"):
+            TabularModel(2, 1, index, probs)
 
     def test_out_of_window_read_is_stored(self, monkeypatch):
         target, _ = shipped_pair()
@@ -639,6 +688,9 @@ class TestTrainNgram:
     def test_out_of_vocab_token(self):
         with pytest.raises(ValueError, match="invalid corpus token"):
             train_ngram([0, 5], order=2, k_add=1.0, vocab_size=2)
+        for vocab in (0, -1):  # no token fits; checked before the uniform row
+            with pytest.raises(ValueError, match="^vocab_size must be positive$"):
+                train_ngram([], order=2, k_add=0.5, vocab_size=vocab)
 
 
 def temper_row(p, tau, eps):
