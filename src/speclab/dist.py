@@ -6,6 +6,7 @@ All probability arithmetic is 64-bit float, all logarithms natural (nats).
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -15,7 +16,10 @@ NONNEG_TOL = 1e-12
 
 Rng = np.random.Generator
 
-# Most uniforms a draw stream fetches with one ``rng.random(n)`` call.
+# Uniforms a draw stream fetches with one ``rng.random(n)`` call, and the
+# fewest tokens a sampling decode must have to go to draw through a stream:
+# opening one and rewinding what it fetched ahead costs a shorter decode
+# more than it saves.
 BLOCK = 64
 
 
@@ -31,34 +35,58 @@ def make_rng(seed) -> Rng:
 class Uniforms:
     """The values of successive ``rng.random()`` calls, fetched in blocks.
 
-    ``random()`` hands out the fetched values in order and falls back to
-    ``rng.random()`` when none is left. ``fill(bound)`` fetches ahead but
-    never leaves more than ``bound`` values unused: a caller that will make
-    at least ``bound`` more draws leaves ``rng`` exactly where per-call draws
-    would, so a generator shared with later callers sees no difference.
+    ``random()`` hands out ``rng.random(BLOCK).tolist()`` blocks value by
+    value, all in C. ``close()`` steps ``rng``, which must be
+    ``rewindable``, back over the values fetched but not handed out, so it
+    ends exactly where per-call draws would leave it, and a generator shared
+    with later callers sees no difference. A closed stream hands out
+    nothing. Nothing the stream holds refers back to it, so dropping the
+    last reference frees it at once.
     """
 
-    __slots__ = ("rng", "_ahead")
+    __slots__ = ("rng", "random", "_draws", "_closed", "__weakref__")
 
     def __init__(self, rng: Rng):
         self.rng = rng
-        self._ahead: list[float] = []  # unused values, the next one last
+        self._closed = closed = []  # non-empty once closed
+        draw = rng.random
 
-    def random(self) -> float:
-        ahead = self._ahead
-        return ahead.pop() if ahead else self.rng.random()
+        def fetch(n):
+            if closed:
+                raise StopIteration  # ends the chain
+            return draw(n).tolist()
 
-    def fill(self, bound: int) -> None:
-        """Top up to ``min(BLOCK, bound)`` unused values once fewer than
-        half a block are left."""
-        ahead = self._ahead
-        if len(ahead) < BLOCK // 2:
-            n = min(BLOCK, bound) - len(ahead)
-            if n > 0:
-                block = self.rng.random(n).tolist()
-                block.reverse()
-                block += ahead
-                self._ahead = block
+        self._draws = chain.from_iterable(map(fetch, repeat(BLOCK)))
+        self.random = self._draws.__next__
+
+    def close(self) -> None:
+        """Rewind ``rng`` over the values fetched but not handed out, and
+        keep any 32-bit half-word it had buffered."""
+        if self._closed:
+            return
+        self._closed.append(True)
+        unused = len(list(self._draws))
+        if unused:
+            bit_generator = self.rng.bit_generator
+            state = bit_generator.state
+            bit_generator.advance(_PERIOD - unused)
+            rewound = bit_generator.state
+            rewound["has_uint32"] = state["has_uint32"]
+            rewound["uinteger"] = state["uinteger"]
+            bit_generator.state = rewound
+
+
+def rewindable(rng) -> bool:
+    """Whether a ``Uniforms`` stream over ``rng`` leaves it exactly where
+    per-call draws would: a numpy Generator over PCG64 or PCG64DXSM, whose
+    ``random()`` takes one step of a 128-bit LCG that ``advance`` can step
+    back. Other generators and duck-typed rngs draw per call."""
+    return (type(rng) is np.random.Generator
+            and type(rng.bit_generator) in _REWINDABLE)
+
+
+_REWINDABLE = (np.random.PCG64, np.random.PCG64DXSM)
+_PERIOD = 1 << 128  # advancing by _PERIOD - k steps a PCG64 back k draws
 
 
 # numpy's SeedSequence hash constants (uint32 words) and PCG64's 128-bit LCG
@@ -296,9 +324,10 @@ def normalize_rows(rows) -> np.ndarray:
 def checked_rows(p: np.ndarray) -> np.ndarray:
     """``p``, a 2-d float array, made read-only once every row is checked to
     be a distribution: every entry finite and non-negative, every row
-    summing to 1 within ``SUM_TOL``."""
-    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
-            and np.all(np.abs(p.sum(axis=1) - 1.0) <= SUM_TOL)):
+    summing to 1 within ``SUM_TOL``. A NaN or -inf entry fails the minimum
+    check, a +inf entry its row's sum check."""
+    if not (p.min(initial=0.0) >= 0.0
+            and abs(p.sum(axis=1) - 1.0).max(initial=0.0) <= SUM_TOL):
         raise ValueError("invalid distribution: a stacked row is not a distribution")
     p.setflags(write=False)
     return p

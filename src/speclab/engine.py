@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Sequence
 
 from .dist import (BLOCK, Distribution, Rng, Uniforms, argmax, entropy,
-                   residual, sample)
+                   residual, rewindable, sample)
 from .models import AutoregressiveModel, context_index, context_window
 from .policies import LengthPolicy
 
@@ -126,11 +126,10 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     so the cost of a model call does not grow with the output length.
 
     Sampling takes one ``rng.random()`` per draft sample, accept test,
-    correction and bonus, so every emitted token costs at least one draw. A
-    sampling decode with at least ``BLOCK`` tokens to go therefore draws
-    through a ``Uniforms`` stream that fetches at most the tokens still to
-    go at the start of each round: the draws, and where ``rng`` ends, are
-    those of per-call draws.
+    correction and bonus. A sampling decode with at least ``BLOCK`` tokens
+    to go over a ``rewindable`` generator draws through a ``Uniforms``
+    stream, closed when the decode returns or raises: the draws, and where
+    ``rng`` ends, are those of per-call draws.
     """
     radix, width, span = context_window(target, draft)
     _check_prompt(prompt, max_len, target.vocab_size)
@@ -143,73 +142,72 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     draft_calls = probe_calls = 0
     index = context_index(out, len(out), target.vocab_size, width)
     stream = None
-    if not greedy and max_len - len(out) >= BLOCK:
+    if not greedy and max_len - len(out) >= BLOCK and rewindable(rng):
         rng = stream = Uniforms(rng)
+    try:
+        while len(out) < max_len:
+            start_len = len(out)
+            room = max_len - start_len - 1  # proposals that can fit before the horizon
 
-    while len(out) < max_len:
-        start_len = len(out)
+            proposed: list[int] = []
+            entropies: list[float] = []
+            next_entropy: float | None = None
+            q_dists: list[Distribution] = []
+            # Context index of every drafted position plus the one after them.
+            indices = [index]
+
+            if room > 0:
+                q_cur = draft_row(index)
+                h_cur = entropy(q_cur)
+                while True:
+                    token = argmax(q_cur) if greedy else sample(q_cur, rng)
+                    proposed.append(token)
+                    entropies.append(h_cur)
+                    q_dists.append(q_cur)
+                    index = (index * radix + token + 1) % span
+                    indices.append(index)
+                    if len(proposed) >= room:
+                        break
+                    q_next = draft_row(index)
+                    h_next = entropy(q_next)
+                    if not should_continue(len(proposed), h_next):
+                        next_entropy = h_next
+                        probe_calls += 1
+                        break
+                    # The probed row is drafted next, with the entropy just read.
+                    q_cur, h_cur = q_next, h_next
+                draft_calls += len(proposed)
+
+            # Target rows are read as verification reaches them.
+            accepted = len(proposed)
+            correction: int | None = None
+            bonus: int | None = None
+            for j, token in enumerate(proposed):
+                p_j = target_row(indices[j])
+                if not (verify_greedy(p_j, token) if greedy
+                        else verify_sampling(p_j, q_dists[j], token, rng)):
+                    accepted = j
+                    last = correction = (correct_greedy(p_j) if greedy
+                                         else correct_sampling(p_j, q_dists[j], rng))
+                    break
+            else:
+                p_last = target_row(index)
+                last = bonus = argmax(p_last) if greedy else sample(p_last, rng)
+            out += proposed[:accepted]
+            out.append(last)
+            index = (indices[accepted] * radix + last + 1) % span
+
+            rounds.append(RoundRecord(len(rounds), start_len, indices[0], proposed,
+                                      entropies, next_entropy, accepted, correction,
+                                      bonus))
+            if proposed:
+                on_round_end(len(proposed), accepted, correction is None)
+    finally:
         if stream is not None:
-            stream.fill(max_len - start_len)
-        room = max_len - start_len - 1  # proposals that can fit before the horizon
+            stream.close()
 
-        proposed: list[int] = []
-        entropies: list[float] = []
-        next_entropy: float | None = None
-        q_dists: list[Distribution] = []
-        # Context index of every drafted position plus the one after them.
-        indices = [index]
-
-        if room > 0:
-            q_cur = draft_row(index)
-            h_cur = entropy(q_cur)
-            while True:
-                token = argmax(q_cur) if greedy else sample(q_cur, rng)
-                proposed.append(token)
-                entropies.append(h_cur)
-                q_dists.append(q_cur)
-                index = (index * radix + token + 1) % span
-                indices.append(index)
-                if len(proposed) >= room:
-                    break
-                q_next = draft_row(index)
-                h_next = entropy(q_next)
-                if not should_continue(len(proposed), h_next):
-                    next_entropy = h_next
-                    probe_calls += 1
-                    break
-                # The probed row is drafted next, with the entropy just read.
-                q_cur, h_cur = q_next, h_next
-            draft_calls += len(proposed)
-
-        # Target rows are read as verification reaches them.
-        accepted = len(proposed)
-        correction: int | None = None
-        bonus: int | None = None
-        for j, token in enumerate(proposed):
-            p_j = target_row(indices[j])
-            if not (verify_greedy(p_j, token) if greedy
-                    else verify_sampling(p_j, q_dists[j], token, rng)):
-                accepted = j
-                last = correction = (correct_greedy(p_j) if greedy
-                                     else correct_sampling(p_j, q_dists[j], rng))
-                break
-        else:
-            p_last = target_row(index)
-            last = bonus = argmax(p_last) if greedy else sample(p_last, rng)
-        out += proposed[:accepted]
-        out.append(last)
-        index = (indices[accepted] * radix + last + 1) % span
-
-        rounds.append(RoundRecord(len(rounds), start_len, indices[0], proposed,
-                                  entropies, next_entropy, accepted, correction,
-                                  bonus))
-        if proposed:
-            on_round_end(len(proposed), accepted, correction is None)
-
-    return DecodeResult(output_tokens=out, prompt_len=len(prompt), rounds=rounds,
-                        target_forward_calls=len(rounds),
-                        draft_forward_calls=draft_calls,
-                        draft_probe_calls=probe_calls)
+    return DecodeResult(out, len(prompt), rounds, len(rounds), draft_calls,
+                        probe_calls)
 
 
 def _check_prompt(prompt: Sequence[int], max_len: int, vocab_size: int) -> None:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dist import (Distribution, KeyedStreams, Rng, Uniforms, argmax,
-                   kl_divergence, make_rng, sample, sample_rows)
+                   kl_divergence, make_rng, rewindable, sample, sample_rows)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
                      speculative_decode, verify_greedy, verify_sampling)
 from .models import AutoregressiveModel, context_index, context_window
@@ -87,24 +87,21 @@ def oracle_length_stats(target: AutoregressiveModel, draft: AutoregressiveModel,
                         rng: Rng, cap: int, n_runs: int):
     """Mean, variance, and histogram of oracle lengths over prompts x runs.
 
-    Under sampling every run draws at least two values (a draft sample and
-    its accept coin), so the runs draw through one ``Uniforms`` stream
-    filled to at most twice the runs left: ``rng`` ends where per-call
-    draws leave it.
+    Under sampling over a ``rewindable`` generator the runs draw through one
+    ``Uniforms`` stream, closed when the runs end or raise: ``rng`` ends
+    where per-call draws leave it.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    greedy = mode is DecodeMode.GREEDY
-    draws = rng if greedy else Uniforms(rng)
-    runs_left = len(prompts) * n_runs
-    lengths = []
-    for prompt in prompts:
-        for _ in range(n_runs):
-            if not greedy:
-                draws.fill(2 * runs_left)
-            lengths.append(oracle_draft_length(target, draft, prompt, mode,
-                                               draws, cap))
-            runs_left -= 1
+    stream = None
+    if mode is DecodeMode.SAMPLING and rewindable(rng):
+        rng = stream = Uniforms(rng)
+    try:
+        lengths = [oracle_draft_length(target, draft, prompt, mode, rng, cap)
+                   for prompt in prompts for _ in range(n_runs)]
+    finally:
+        if stream is not None:
+            stream.close()
     arr = np.asarray(lengths)
     histogram = np.bincount(arr, minlength=cap + 1)
     return float(arr.mean()), float(arr.var()), histogram

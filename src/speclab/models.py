@@ -35,8 +35,8 @@ def context_index(tokens: Sequence[int], end: int, vocab_size: int,
     """
     radix = vocab_size + 1
     index = 0
-    for pos in range(max(end - width, 0), end):
-        index = index * radix + int(tokens[pos]) + 1
+    for token in tokens[max(end - width, 0):end]:
+        index = index * radix + int(token) + 1
     return index
 
 

@@ -1,6 +1,8 @@
 """Distribution primitives: construction, information measures, sampling."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 import speclab.dist as dist_module
 from speclab.dist import (BLOCK, Distribution, KeyedStreams, Uniforms, argmax,
-                          cross_entropy, distribution_rows, entropy,
-                          kl_divergence, make_rng, normalize, normalize_rows,
-                          residual, row_entropies, sample, sample_rows, tvd,
-                          unchecked_distribution)
+                          checked_rows, cross_entropy, distribution_rows,
+                          entropy, kl_divergence, make_rng, normalize,
+                          normalize_rows, residual, rewindable, row_entropies,
+                          sample, sample_rows, tvd, unchecked_distribution)
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -96,6 +98,31 @@ class TestDistributionRows:
         with pytest.raises(ValueError, match="invalid distribution"):
             distribution_rows(p)
         assert p.flags.writeable
+
+    @pytest.mark.parametrize("p", [
+        [[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [float("nan"), 1.0]],
+        [[0.5, 0.5], [float("inf"), 0.0]], [[-float("inf"), 1.0]],
+        [[float("inf"), -float("inf")]], [[1.5, -0.5]], [[1.0, -5e-324]],
+        [[0.5, 0.6]], [[0.5, 0.5 + 2e-9]], [[0.5, 0.5 + 5e-10]],
+        np.empty((0, 0)), np.empty((0, 3)), np.empty((3, 0)),
+    ], ids=["good", "nan", "+inf", "-inf", "+inf-inf", "negative",
+            "negative-subnormal", "off-sum", "off-sum-by-tol", "sum-within-tol",
+            "empty", "no-rows", "no-columns"])
+    def test_same_verdict_as_entrywise_checks(self, p):
+        """``checked_rows`` checks only the minimum entry and the row sums,
+        and accepts and rejects what the entry-by-entry checks do."""
+        p = np.array(p, dtype=np.float64)
+        want = (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+                and np.all(np.abs(p.sum(axis=1) - 1.0) <= dist_module.SUM_TOL))
+        if want:
+            assert checked_rows(p) is p
+            assert not p.flags.writeable
+        else:
+            with pytest.raises(ValueError) as err:
+                checked_rows(p)
+            assert str(err.value) == ("invalid distribution: "
+                                      "a stacked row is not a distribution")
+            assert p.flags.writeable
 
 
 class TestNormalize:
@@ -391,67 +418,109 @@ class TestMakeRng:
             make_rng((1, -1))
 
 
+def generator(kind, seed):
+    """A fresh generator of the given kind; "pcg64-half" is a PCG64 holding
+    a buffered 32-bit half-word, which ``random()`` must leave alone."""
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    if kind == "pcg64dxsm":
+        return np.random.Generator(np.random.PCG64DXSM(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "pcg64-half":
+        rng.integers(0, 5, dtype=np.int32)
+    return rng
+
+
 class TestUniforms:
     """A draw stream hands out what successive ``rng.random()`` calls would,
-    and leaves the generator where they would."""
+    and once closed leaves the generator where they would."""
 
     @staticmethod
     def state(rng):
         return repr(rng.bit_generator.state)
 
-    def test_rounds_filled_with_the_draws_left(self):
-        # Per "round": fill with every draw still to come, then draw. Rounds
-        # drawing more than is fetched fall back to per-call draws; the last
-        # rounds fetch fewer than a block, and fill(0) fetches nothing.
-        rounds = [1, 5, 40, 3, 1, 90, 2, 30, 31, 7, 1, 0, 2]
+    @pytest.mark.parametrize("kind", ["pcg64", "pcg64dxsm", "pcg64-half"])
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK // 2, BLOCK - 1, BLOCK,
+                                   BLOCK + 1, 3 * BLOCK])
+    def test_per_call_values_and_end_state(self, kind, n):
+        rng, ref = generator(kind, 8), generator(kind, 8)
+        stream = Uniforms(rng)
+        assert [stream.random() for _ in range(n)] == [ref.random() for _ in range(n)]
+        stream.close()
+        assert self.state(rng) == self.state(ref)
+        # The kept half-word is the next 32-bit draw's.
+        assert (rng.integers(0, 5, size=9, dtype=np.int32).tolist()
+                == ref.integers(0, 5, size=9, dtype=np.int32).tolist())
+
+    def test_rounds_of_draws(self):
+        # Rounds of draws that end inside a block, at its end, and past the
+        # next one; the stream is closed after the last.
+        rounds = [1, 5, 40, 3, 1, 90, 2, 30, 31, 7, 1, 0, 2, 3 * BLOCK]
         rng, ref = make_rng(8), make_rng(8)
         stream = Uniforms(rng)
-        left = sum(rounds)
         for n in rounds:
-            stream.fill(left)
-            got = [stream.random() for _ in range(n)]
-            assert got == [ref.random() for _ in range(n)]
-            left -= n
-        assert left == 0
-        assert self.state(rng) == self.state(ref)
-
-    @pytest.mark.parametrize("bound", [0, 1, 2, BLOCK // 2, BLOCK - 1, BLOCK,
-                                       BLOCK + 1, 3 * BLOCK])
-    def test_fill_fetches_at_most_bound(self, bound):
-        rng, ref = make_rng(9), make_rng(9)
-        stream = Uniforms(rng)
-        stream.fill(bound)
-        assert [stream.random() for _ in range(bound)] == [
-            ref.random() for _ in range(bound)]
+            assert [stream.random() for _ in range(n)] == [ref.random() for _ in range(n)]
+        stream.close()
         assert self.state(rng) == self.state(ref)
 
     def test_new_block_goes_after_the_unused_values(self):
         rng, ref = make_rng(10), make_rng(10)
         stream = Uniforms(rng)
-        stream.fill(BLOCK)
         draws = [stream.random() for _ in range(BLOCK - 3)]
-        stream.fill(BLOCK)  # three left: fetch BLOCK - 3 behind them
-        draws += [stream.random() for _ in range(BLOCK + 10)]
+        draws += [stream.random() for _ in range(BLOCK + 10)]  # three, then a block
         assert draws == [ref.random() for _ in range(2 * BLOCK + 7)]
+        stream.close()
         assert self.state(rng) == self.state(ref)
 
-    def test_every_buffered_value_before_a_fallback(self):
-        rng, ref = make_rng(11), make_rng(11)
+    def test_close_twice_rewinds_once(self):
+        rng, ref = make_rng(9), make_rng(9)
         stream = Uniforms(rng)
-        for bound in (1, 2, 3):
-            stream.fill(bound)
-            got = [stream.random() for _ in range(bound + 2)]
-            assert got == [ref.random() for _ in range(bound + 2)]
+        stream.random()
+        ref.random()
+        stream.close()
+        stream.close()
         assert self.state(rng) == self.state(ref)
+
+    def test_closed_stream_hands_out_nothing(self):
+        stream = Uniforms(make_rng(10))
+        stream.random()
+        stream.close()
+        with pytest.raises(StopIteration):
+            stream.random()
 
     def test_sample_through_a_stream(self):
         d = Distribution([0.2, 0.5, 0.3])
         rng, ref = make_rng(12), make_rng(12)
         stream = Uniforms(rng)
-        stream.fill(100)
         assert [sample(d, stream) for _ in range(100)] == [
             sample(d, ref) for _ in range(100)]
+        stream.close()
         assert self.state(rng) == self.state(ref)
+
+    @pytest.mark.parametrize("rng,want", [
+        (make_rng(1), True),
+        (generator("pcg64dxsm", 1), True),
+        (generator("pcg64-half", 1), True),
+        (generator("mt19937", 1), False),
+        (np.random.Generator(np.random.Philox(1)), False),
+        (FixedDraws([0.5]), False),
+    ], ids=["default", "pcg64dxsm", "pcg64-half", "mt19937", "philox", "duck-typed"])
+    def test_rewindable(self, rng, want):
+        assert rewindable(rng) is want
+
+    @pytest.mark.parametrize("close", [True, False])
+    def test_freed_by_reference_counting(self, close):
+        gc.disable()
+        try:
+            stream = Uniforms(make_rng(13))
+            stream.random()
+            if close:
+                stream.close()
+            ref = weakref.ref(stream)
+            del stream
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def lane_draws(streams, n):

@@ -22,6 +22,7 @@ from speclab.models import (AutoregressiveModel, TabularModel, context_index,
                             tabular_from_spec, temper)
 from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                               SvipConfig, SvipPolicy)
+from test_dist import generator
 
 SAMPLING = DecodeMode.SAMPLING
 GREEDY = DecodeMode.GREEDY
@@ -254,14 +255,14 @@ class TestCorrect:
             def __init__(self, seed):
                 self.gen = make_rng(seed)
 
-            def random(self, size=None):
-                return 1.0 - self.gen.random(size) * 2.0 ** -50
+            def random(self):
+                return 1.0 - self.gen.random() * 2.0 ** -50
 
         corrections = 0
         for seed in range(30):
             target = random_tabular(4, 2, make_rng(seed), alpha=0.5)
             for draft in (target, temper(target, 1.0, 0.0)):
-                for horizon in (40, 200):  # per-call draws, then a Uniforms stream
+                for horizon in (40, 200):  # duck-typed: per-call draws at both
                     res = speculative_decode(target, draft, [1], horizon,
                                              ConstantPolicy(4), SAMPLING, NearOne(seed))
                     assert len(res.output_tokens) == horizon
@@ -580,17 +581,6 @@ class TestEntropyReads:
                                        mode, make_rng(11))
 
 
-def generator(kind, seed):
-    """A fresh generator of the given kind; "pcg64-half" holds a buffered
-    32-bit half-word, which ``random()`` must leave alone."""
-    if kind == "mt19937":
-        return np.random.Generator(np.random.MT19937(seed))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if kind == "pcg64-half":
-        rng.integers(0, 5, dtype=np.int32)
-    return rng
-
-
 def assert_same_draws(target, draft, policy_factory, horizons, kind, seed):
     """Decodes in sequence on one shared generator equal ``reference_decode``
     on another, per-call generator, and leave the two in the same state.
@@ -613,10 +603,37 @@ def assert_same_draws(target, draft, policy_factory, horizons, kind, seed):
         assert res.draft_forward_calls == sum(len(r.proposed_tokens) for r in res.rounds)
 
 
+class FailingRows(AutoregressiveModel):
+    """Delegates to ``model`` until its ``fail_at``-th row read, which raises."""
+
+    def __init__(self, model, fail_at):
+        self.model, self.left = model, fail_at
+        self.vocab_size = model.vocab_size
+        self.context_order = model.context_order
+
+    def row(self, index):
+        self.left -= 1
+        if self.left == 0:
+            raise LookupError("row read failed")
+        return self.model.row(index)
+
+
+class PerCall:
+    """Hands out ``rng.random()`` one call at a time: not ``rewindable``, so
+    a decode draws per call from the generator it wraps."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self):
+        return self.rng.random()
+
+
 class TestDrawStream:
-    """Sampling decodes with ``BLOCK`` or more tokens to go fetch uniforms in
-    blocks; the tokens, the records and where the generator ends are those of
-    one ``rng.random()`` call per draw."""
+    """Sampling decodes with ``BLOCK`` or more tokens to go over a PCG64
+    fetch uniforms in blocks; the tokens, the records and where the
+    generator ends, also when the decode raises, are those of one
+    ``rng.random()`` call per draw."""
 
     @pytest.mark.parametrize("kind", ["pcg64", "mt19937", "pcg64-half"])
     @pytest.mark.parametrize("horizon", [3, BLOCK - 1, BLOCK, BLOCK + 1, 200, 1200])
@@ -664,3 +681,21 @@ class TestDrawStream:
         assert_same_draws(target, draft, policy_factory, horizons,
                           data.draw(st.sampled_from(["pcg64", "mt19937"]), label="kind"),
                           data.draw(st.integers(0, 1000), label="rng seed"))
+
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937", "pcg64-half"])
+    @pytest.mark.parametrize("fail_at", [1, 2, 7, 40, 151])
+    @pytest.mark.parametrize("failing", ["target", "draft"])
+    def test_decode_that_raises(self, failing, fail_at, kind):
+        """A decode whose ``fail_at``-th row read raises leaves the generator
+        past the draws it made, no further."""
+        target = random_tabular(4, 2, make_rng(71), spiky_fraction=0.3)
+        draft = temper(target, 2.0, 0.1)
+        rng, ref_rng = generator(kind, 73), generator(kind, 73)
+        for draws in (rng, PerCall(ref_rng)):
+            pair = [target, draft]
+            k = failing == "draft"
+            pair[k] = FailingRows(pair[k], fail_at)
+            with pytest.raises(LookupError):
+                speculative_decode(*pair, [0, 1], 202, ConstantPolicy(5),
+                                   SAMPLING, draws)
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)

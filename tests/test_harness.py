@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import speclab.engine as engine_module
 import speclab.harness as harness_module
-from speclab.dist import (Distribution, KeyedStreams, Uniforms, argmax, entropy,
+from speclab.dist import (Distribution, KeyedStreams, argmax, entropy,
                           kl_divergence, make_rng, normalize, residual, sample)
 from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             verify_greedy, verify_sampling)
@@ -25,8 +25,8 @@ from speclab.models import (AutoregressiveModel, TabularModel, context_index,
                             context_indices, context_space, random_tabular,
                             tabular_from_spec, temper)
 from speclab.policies import ConstantPolicy, HeuristicPolicy, SvipConfig, SvipPolicy
-from test_dist import FixedDraws
-from test_engine import Recording, reference_decode
+from test_dist import FixedDraws, generator
+from test_engine import FailingRows, PerCall, Recording, reference_decode
 
 SAMPLING = DecodeMode.SAMPLING
 GREEDY = DecodeMode.GREEDY
@@ -150,13 +150,10 @@ class Holed(AutoregressiveModel):
 
 
 def scalar_oracle(target, draft, prefix, mode, key, cap):
-    """``oracle_draft_length`` of one round, drawing from ``make_rng(key)``
-    through a stream filled to twice the cap."""
-    draws = None
-    if mode is SAMPLING:
-        draws = Uniforms(make_rng(key))
-        draws.fill(2 * cap)
-    return oracle_draft_length(target, draft, prefix, mode, draws, cap)
+    """``oracle_draft_length`` of one round, drawing per call from
+    ``make_rng(key)``."""
+    rng = make_rng(key) if mode is SAMPLING else None
+    return oracle_draft_length(target, draft, prefix, mode, rng, cap)
 
 
 class TestOracleLengths:
@@ -308,6 +305,21 @@ class TestOracleLengthStats:
         assert hist.tolist() == np.bincount(lengths,
                                             minlength=cap + 1).tolist()
         assert mean == float(np.mean(lengths))
+
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937", "pcg64-half"])
+    @pytest.mark.parametrize("fail_at", [1, 2, 9, 40])
+    def test_runs_that_raise(self, fail_at, kind):
+        """Runs whose ``fail_at``-th target row read raises leave the
+        generator past the draws they made, no further."""
+        target = random_tabular(4, 1, make_rng(11))
+        draft = temper(target, 2.0, 0.1)
+        rng, ref = generator(kind, 14), generator(kind, 14)
+        for draws in (rng, PerCall(ref)):
+            with pytest.raises(LookupError):
+                oracle_length_stats(FailingRows(target, fail_at), draft,
+                                    [[0], [1], [2]], SAMPLING, draws, cap=10,
+                                    n_runs=7)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 class TestEntropyStats:
