@@ -8,8 +8,7 @@ concurrent decode sessions.
 
 from __future__ import annotations
 
-import weakref
-from itertools import chain, islice, product, repeat, takewhile
+from itertools import chain, product, repeat, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -105,10 +104,14 @@ class RowMap(dict):
     first read and stored under the index that was read, so every later
     read of that index is one dict hit.
 
-    A miss resolves as ``row`` does: an index with a table row gets a
-    Distribution over that row of the stack ``probs``; an index outside
-    ``[0, span)`` gets the row of ``index % span``; a context without a
-    row gets ``default``, or raises when there is none.
+    A miss resolves as ``row`` does: an index outside ``[0, span)`` gets the
+    row of ``index % span``; an index with a table row gets a Distribution
+    over that row of the stack ``probs``; a context without a row gets
+    ``default``, or raises when there is none. The table row is found by
+    binary search: ``sorted_index`` is the table's ``index`` in sorted
+    order, and ``rank`` maps a position of ``sorted_index`` to its row, or
+    is None when ``index`` is already sorted and ``sorted_index`` is
+    ``index`` itself.
 
     The first table-row miss computes every row's entropy and cdf at once
     (``row_entropies`` and a stacked ``cumsum``, the values ``entropy`` and
@@ -119,13 +122,14 @@ class RowMap(dict):
     model alive until a garbage-collector pass.
     """
 
-    __slots__ = ("positions", "probs", "span", "radix", "order", "default",
-                 "entropies", "cdfs")
+    __slots__ = ("sorted_index", "rank", "probs", "span", "radix", "order",
+                 "default", "entropies", "cdfs")
 
-    def __init__(self, positions: dict[int, int], probs: np.ndarray, vocab_size: int,
-                 order: int, default: Distribution | None):
+    def __init__(self, sorted_index: np.ndarray, rank: np.ndarray | None,
+                 probs: np.ndarray, vocab_size: int, order: int, default: Distribution | None):
         super().__init__()
-        self.positions = positions  # context index -> row of ``probs``
+        self.sorted_index = sorted_index
+        self.rank = rank
         self.probs = probs
         self.radix = vocab_size + 1
         self.order = order
@@ -134,23 +138,23 @@ class RowMap(dict):
         self.entropies = self.cdfs = None  # of every table row, on the first miss
 
     def __missing__(self, index: int) -> Distribution:
-        k = self.positions.get(index)
-        if k is not None:
+        keys = self.sorted_index
+        if not 0 <= index < self.span:
+            row = self[index % self.span]
+        elif (k := keys.searchsorted(index)) < len(keys) and keys[k] == index:
+            if self.rank is not None:
+                k = self.rank[k]
             if self.cdfs is None:
                 self.entropies = row_entropies(self.probs)
                 self.cdfs = np.cumsum(self.probs, axis=1)
             row = unchecked_distribution(self.probs[k])
             row._entropy = self.entropies.item(k)
             row._cdf = self.cdfs[k].tolist()
+        elif self.default is None:
+            raise ValueError(
+                f"incomplete table: no row for context {self.context_of(index)!r}")
         else:
-            reduced = index % self.span
-            if reduced != index:
-                row = self[reduced]
-            elif self.default is None:
-                raise ValueError(
-                    f"incomplete table: no row for context {self.context_of(index)!r}")
-            else:
-                row = self.default
+            row = self.default
         self[index] = row
         return row
 
@@ -175,9 +179,11 @@ class TabularModel(AutoregressiveModel):
     row, a row for every reachable context. It builds no Distribution.
 
     ``rows`` is a ``RowMap``, a read cache over the stack, and ``row`` is
-    its bound ``__getitem__``: a row is built on its first read, and every
-    later read of the same index is one dict lookup returning the same
-    object.
+    its bound ``__getitem__``: a row is found by binary search over the
+    sorted ``index`` and built on its first read, and every later read of
+    the same index is one dict lookup returning the same object. The
+    lookup is ``index`` itself when it is sorted, as the generators and
+    ``context_space`` order leave it; otherwise one ``argsort`` of it.
     """
 
     def __init__(self, vocab_size: int, context_order: int, index: np.ndarray,
@@ -195,9 +201,18 @@ class TabularModel(AutoregressiveModel):
         if len(index) and (index.min() < 0 or index.max() >= span):
             bad = next(i for i in index.tolist() if not 0 <= i < span)
             raise ValueError(f"invalid index: context index {bad} outside [0, {span})")
-        positions = _row_positions(index)
+        keys, rank = index, None
+        if not (index[1:] > index[:-1]).all():
+            rank = np.argsort(index, kind="stable")
+            keys = index[rank]
+            same = np.flatnonzero(keys[1:] == keys[:-1])
+            if len(same):  # the first row, in table order, whose context came before
+                i = rank[same + 1].min()
+                raise ValueError(f"invalid model spec: rows[{i}].context: "
+                                 f"duplicates rows[{rank[keys.searchsorted(index[i])]}]")
+        rows = RowMap(keys, rank, probs, vocab_size, context_order, default)
         if default is None:
-            _check_complete(index, positions, vocab_size, context_order)
+            _check_complete(rows)
         elif len(default) != vocab_size:
             raise ValueError("row arity mismatch: default row")
         index.setflags(write=False)
@@ -205,8 +220,8 @@ class TabularModel(AutoregressiveModel):
         self.context_order = context_order
         self.index = index
         self.probs = probs
-        self.rows = RowMap(positions, probs, vocab_size, context_order, default)
-        self.row = self.rows.__getitem__
+        self.rows = rows
+        self.row = rows.__getitem__
 
     @property
     def default(self) -> Distribution | None:
@@ -216,37 +231,6 @@ class TabularModel(AutoregressiveModel):
         if self.default is None:
             raise ValueError(f"incomplete table: no row for context {context!r}")
         return self.default
-
-
-# id of an index array a model was built on -> a copy of the array and its
-# row positions, for as long as the array lives.
-_POSITIONS: dict[int, tuple[np.ndarray, dict[int, int]]] = {}
-
-
-def _row_positions(index: np.ndarray) -> dict[int, int]:
-    """Each context index of ``index`` -> its row, raising on a duplicate.
-
-    A model built on an index array another model was built on (a
-    ``temper`` draft on its base's) shares that model's dict, as long as
-    the array still equals the copy taken then, so a later write to the
-    array makes a new dict.
-    """
-    key = id(index)
-    seen = _POSITIONS.get(key)
-    if seen is not None and np.array_equal(seen[0], index):
-        return seen[1]
-    index_list = index.tolist()
-    positions = dict(zip(index_list, range(len(index_list))))
-    if len(positions) < len(index_list):
-        first: dict[int, int] = {}
-        for i, context in enumerate(index_list):
-            if first.setdefault(context, i) != i:
-                raise ValueError(f"invalid model spec: rows[{i}].context: "
-                                 f"duplicates rows[{first[context]}]")
-    if seen is None:
-        weakref.finalize(index, _POSITIONS.pop, key, None)
-    _POSITIONS[key] = (index.copy(), positions)
-    return positions
 
 
 def _check_shape(vocab_size: int, context_order: int) -> None:
@@ -283,27 +267,24 @@ def _place_values(radix: int, order: int) -> np.ndarray:
                     dtype=np.int64 if radix ** order < 2 ** 63 else object)
 
 
-def _check_complete(index, positions, vocab_size, order):
+def _check_complete(rows: RowMap) -> None:
     # A context is reachable when its BOS padding all comes first. The
     # reachable indices of n tokens are those of n - 1 tokens with one more
-    # token digit (1 to vocab_size) appended; the table is complete when it
-    # holds them all. Otherwise walk the context space, smallest padding
-    # level first, to name the first missing context, verifying the levels
-    # of at most 1M contexts.
-    levels = [vocab_size ** n for n in range(order + 1)]
-    small = list(takewhile(lambda n: n <= 1_000_000, levels))
-    if len(small) == len(levels):
-        radix = vocab_size + 1
-        level = reachable = np.zeros(1, dtype=_place_values(radix, order).dtype)
-        for _ in range(order):
-            level = (level[:, None] * radix + np.arange(1, radix)).ravel()
-            reachable = np.concatenate((reachable, level))
-        if np.isin(reachable, index).all():
-            return
-    for key in islice(context_space(vocab_size, order), sum(small)):
-        if context_index(key, order, vocab_size, order) not in positions:
-            raise ValueError(f"incomplete table: no row for context {key!r} and no default")
-    if len(small) < len(levels):
+    # token digit (1 to vocab_size) appended, each level in context_space
+    # order; the table is complete when it holds them all. Only the levels
+    # of at most 1M contexts are built, and the first one missing is named.
+    radix, order = rows.radix, rows.order
+    levels = [(radix - 1) ** n for n in range(order + 1)]
+    small = len(list(takewhile(lambda n: n <= 1_000_000, levels)))
+    level = reachable = np.zeros(1, dtype=_place_values(radix, order).dtype)
+    for _ in range(small - 1):
+        level = (level[:, None] * radix + np.arange(1, radix)).ravel()
+        reachable = np.concatenate((reachable, level))
+    missing = np.flatnonzero(~np.isin(reachable, rows.sorted_index))
+    if len(missing):
+        key = rows.context_of(int(reachable[missing[0]]))
+        raise ValueError(f"incomplete table: no row for context {key!r} and no default")
+    if small < len(levels):
         raise ValueError("incomplete table: context space too large to verify without a default row")
 
 
@@ -464,8 +445,8 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     row = (1 - eps) * normalize(base_row^(1/tau)) + eps * uniform, for every
     row of the base table and for its default row. tau > 1 flattens, tau < 1
     sharpens; eps > 0 guarantees full support (every probability >=
-    eps / vocab_size). The draft shares the base's ``index`` and its row
-    positions.
+    eps / vocab_size). The draft shares the base's ``index``, and so, when
+    that is sorted, the sorted keys its rows are found by.
     """
     if not tau > 0:
         raise ValueError("invalid temperature: tau must be positive")

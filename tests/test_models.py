@@ -464,6 +464,32 @@ class TestStackedLoad:
                                   "and no default")
 
 
+@st.composite
+def shuffled_tables(draw, min_rows=0):
+    """``(vocab, order, index, probs, default)`` of a table whose rows come
+    in a drawn order, with or without a default row; some tables have a
+    span of 2**63 or more, and so an object-dtype index."""
+    if draw(st.booleans(), label="object dtype"):
+        vocab = draw(st.integers(1, 3), label="vocab")
+        least = next(k for k in range(64) if (vocab + 1) ** k >= 2 ** 63)
+        order = draw(st.integers(least, least + 2), label="order")
+    else:
+        vocab = draw(st.integers(1, 4), label="vocab")
+        order = draw(st.integers(min_rows > 1, 3), label="order")  # span >= min_rows
+    span = (vocab + 1) ** order
+    default = None
+    keys = set(draw(st.lists(st.integers(0, span - 1), max_size=30), label="rows"))
+    if vocab > 1 and span >= 2 ** 63 or draw(st.booleans(), label="default"):
+        default = normalize([1.0] * vocab)
+    else:  # complete: every reachable context has a row
+        keys.update(context_indices(context_space(vocab, order), vocab, order).tolist())
+    if len(keys) < min_rows:
+        keys.update(range(min_rows))
+    keys = draw(st.permutations(sorted(keys)), label="row order")
+    index = np.array(keys, dtype=np.int64 if span < 2 ** 63 else object)
+    return vocab, order, index, np.full((len(keys), vocab), 1.0 / vocab), default
+
+
 class TestRowCache:
     """``rows`` is a read cache over the stack: construction builds no row,
     and each index read is stored, whatever it resolved to."""
@@ -474,7 +500,7 @@ class TestRowCache:
         assert target.rows.cdfs is None and draft.rows.cdfs is None
         assert len(target.index) == len(target.probs) == 3280
         assert draft.index is target.index
-        assert draft.rows.positions is target.rows.positions
+        assert draft.rows.sorted_index is target.rows.sorted_index
         assert not target.probs.flags.writeable and not draft.probs.flags.writeable
         for model in (random_tabular(3, 2, make_rng(1)),
                       train_ngram([0, 1, 2, 0, 2, 1], 3, 0.5, 3)):
@@ -517,24 +543,56 @@ class TestRowCache:
             model.row(index)
         assert calls == [1]
 
-    def test_shared_positions_follow_later_writes(self):
-        index = context_indices([(BOS,), (0,), (1,)], 2, 1)
-        probs = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
-        first = TabularModel(2, 1, index, probs)
-        again = TabularModel(2, 1, index, probs[::-1].copy())
-        assert again.rows.positions is first.rows.positions
-        assert again.row(index[0].item()).probs.tolist() == [0.0, 1.0]
-        index.setflags(write=True)
-        index[[0, 2]] = index[[2, 0]]  # swap two rows' contexts in place
-        index.setflags(write=False)
-        moved = TabularModel(2, 1, index, probs)
-        assert moved.rows.positions is not first.rows.positions
-        assert moved.rows.positions == {2: 0, 1: 1, 0: 2}
-        assert moved.next_distribution([1]).probs.tolist() == [0.5, 0.5]
-        index.setflags(write=True)
-        index[1] = index[0]
-        with pytest.raises(ValueError, match=r"rows\[1\]\.context: duplicates rows\[0\]"):
-            TabularModel(2, 1, index, probs)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shuffled_tables(), st.data())
+    def test_rows_found_in_any_row_order(self, table, data):
+        """Every index of the window a wider model pairs this table with,
+        and some past it, resolves to the row that a dict of the table's
+        contexts names; a span of 2**63 or more reads sampled indices."""
+        vocab, order, index, probs, default = table
+        model = TabularModel(vocab, order, index, probs, default)
+        assert model.index is index
+        assert (model.rows.rank is None) == (model.rows.sorted_index is index)
+        radix, span = vocab + 1, (vocab + 1) ** order
+        named = dict(zip(index.tolist(), range(len(index))))
+        if span < 2 ** 63:
+            width = order + data.draw(st.integers(0, 2), label="pair width")
+            while width > order and radix ** width > 1000:
+                width -= 1
+            reads = list(range(radix ** width))
+        else:
+            reads = list(named) + data.draw(st.lists(st.integers(0, span - 1), max_size=20),
+                                            label="in span")
+        reads += data.draw(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=8),
+                           label="past the span")
+        for i in reads:
+            context = i % span
+            if context in named:
+                assert np.shares_memory(model.row(i).probs, probs[named[context]])
+            elif default is not None:
+                assert model.row(i) is default
+            else:
+                digits = [context // radix ** e % radix - 1 for e in range(order - 1, -1, -1)]
+                with pytest.raises(ValueError) as exc:
+                    model.row(i)
+                assert str(exc.value) == f"incomplete table: no row for context {tuple(digits)!r}"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shuffled_tables(min_rows=2), st.data())
+    def test_duplicate_contexts_named_in_table_order(self, table, data):
+        vocab, order, index, probs, default = table
+        index = index.copy()
+        n = len(index)
+        for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                       .filter(lambda ab: ab[0] != ab[1]),
+                                       min_size=1, max_size=3), label="copies"):
+            index[a] = index[b]
+        first = {}
+        i = next(i for i, c in enumerate(index.tolist()) if first.setdefault(c, i) != i)
+        with pytest.raises(ValueError) as exc:
+            TabularModel(vocab, order, index, probs, default)
+        assert str(exc.value) == (f"invalid model spec: rows[{i}].context: "
+                                  f"duplicates rows[{first[index[i]]}]")
 
     def test_out_of_window_read_is_stored(self, monkeypatch):
         target, _ = shipped_pair()
@@ -897,6 +955,23 @@ class TestTabularModelDirect:
         kept = index != context_index((BOS, 5), 2, 1001, 2)
         with pytest.raises(ValueError, match=r"no row for context \(-1, 5\)"):
             TabularModel(1001, 2, index[kept], probs[kept])
+
+    def test_last_missing_context_named(self):
+        """An order-5, vocab-10 table without its last context: the check
+        names it from the reachable indices, without walking the contexts."""
+        contexts = list(context_space(10, 5))[:-1]
+        index = context_indices(contexts, 10, 5)
+        with pytest.raises(ValueError) as exc:
+            TabularModel(10, 5, index, np.full((len(index), 10), 0.1))
+        assert str(exc.value) == ("incomplete table: no row for context (9, 9, 9, 9, 9) "
+                                  "and no default")
+        # vocab 1, order 63: a span of 2**63 and an object-dtype index
+        hole = (BOS,) * 60 + (0, 0, 0)
+        index = context_indices([key for key in context_space(1, 63) if key != hole], 1, 63)
+        assert index.dtype == object
+        with pytest.raises(ValueError) as exc:
+            TabularModel(1, 63, index, np.ones((len(index), 1)))
+        assert str(exc.value) == f"incomplete table: no row for context {hole!r} and no default"
 
     def test_generators_build_no_distribution(self, monkeypatch):
         """The generators hand the constructor a stack; a row read later is
