@@ -48,10 +48,11 @@ def fmt9(value) -> str:
 
 
 def round9(obj):
-    """Recursively round floats to 9 significant digits for stable JSON."""
+    """Recursively round floats to 9 significant digits for stable, strict
+    JSON: NaN becomes None, and +-inf the strings ``fmt9`` writes for them."""
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
+        if not math.isfinite(obj):
+            return None if math.isnan(obj) else fmt9(obj)
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: round9(v) for k, v in obj.items()}
@@ -68,7 +69,8 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    write_atomic(path, json.dumps(round9(obj), sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(round9(obj), sort_keys=True, indent=2,
+                                  allow_nan=False) + "\n")
 
 
 class _Blank:

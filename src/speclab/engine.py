@@ -197,11 +197,11 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
             out.append(last)
             index = (indices[accepted] * radix + last + 1) % span
 
-            rounds.append(RoundRecord(len(rounds), start_len, indices[0], proposed,
-                                      entropies, next_entropy, accepted, correction,
-                                      bonus))
+            record = RoundRecord(len(rounds), start_len, indices[0], proposed,
+                                 entropies, next_entropy, accepted, correction, bonus)
+            rounds.append(record)
             if proposed:
-                on_round_end(len(proposed), accepted, correction is None)
+                on_round_end(record)
     finally:
         if stream is not None:
             stream.close()

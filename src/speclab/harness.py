@@ -6,7 +6,6 @@ and the Monte Carlo output-distribution equivalence verdict.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
@@ -306,46 +305,30 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Decode every (seed, prompt) pair and aggregate the round traces.
 
-    Each round's oracle length is re-simulated from its start context, under
-    sampling with the stream of ``make_rng((seed, pi, round_index,
-    _ORACLE_SALT))``, so reports are reproducible. The rounds' keys and the
-    ``start_index`` each record holds are collected while the decodes
-    arrive, and ``oracle_lengths`` runs every oracle of the experiment as one
-    batch; a greedy oracle draws nothing and gets no streams.
+    Each round that proposed tokens is re-simulated by ``oracle_lengths``, in
+    one batch, from its record's ``start_index``; under sampling with the
+    stream of ``make_rng((seed, pi, round_index, _ORACLE_SALT))``, its key
+    read from the record, so reports are reproducible. The keys reach
+    ``KeyedStreams`` as one uint32 array when every seed fits in 32 bits,
+    else as tuples. A greedy oracle draws nothing and gets no streams.
     """
     results: list[DecodeResult] = []
-    prefixes: list[tuple[int, int]] = []  # (seed, pi) of each decode
-    decode_of, round_of, proposed = array("I"), array("I"), array("I")
+    keys: list[tuple[int, int, int, int]] = []
     starts: list[int] = []
     for seed, pi, result in seeded_decodes(config):
         for rec in result.rounds:
             if rec.proposed_tokens:
-                decode_of.append(len(results))
-                round_of.append(rec.round_index)
-                proposed.append(len(rec.proposed_tokens))
+                keys.append((seed, pi, rec.round_index, _ORACLE_SALT))
                 starts.append(rec.start_index)
-        prefixes.append((seed, pi))
         results.append(result)
     streams = None
     if config.mode is not DecodeMode.GREEDY:
-        streams = KeyedStreams(_oracle_keys(prefixes, decode_of, round_of))
+        if all(0 <= seed <= 0xFFFF_FFFF for seed in config.seeds):
+            keys = np.array(keys, np.uint32).reshape(-1, 4)
+        streams = KeyedStreams(keys)
     oracle = oracle_lengths(config.target, config.draft, starts, config.mode,
                             streams, config.oracle_cap)
-    deltas = np.frombuffer(proposed, np.uint32).astype(np.int64) - oracle
-    return summarize_experiment(config, results, deltas)
-
-
-def _oracle_keys(prefixes: list[tuple[int, int]], decode_of: array, round_of: array):
-    """The oracle key ``(seed, pi, round_index, _ORACLE_SALT)`` of every round:
-    the rows of one uint32 array when every seed fits in 32 bits, else tuples."""
-    if any(seed > 0xFFFF_FFFF for seed, _ in prefixes):
-        return [(*prefixes[d], r, _ORACLE_SALT) for d, r in zip(decode_of, round_of)]
-    words = np.empty((len(round_of), 4), np.uint32)
-    words[:, :2] = np.array(prefixes, np.uint32).reshape(-1, 2)[
-        np.frombuffer(decode_of, np.uint32)]
-    words[:, 2] = np.frombuffer(round_of, np.uint32)
-    words[:, 3] = _ORACLE_SALT
-    return words
+    return summarize_experiment(config, results, oracle)
 
 
 def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
@@ -426,10 +409,13 @@ def seeded_decodes(config: ExperimentConfig) -> Iterator[tuple[int, int, DecodeR
 
 
 def summarize_experiment(config: ExperimentConfig, results: list[DecodeResult],
-                         deltas: Sequence[float]) -> ExperimentReport:
+                         oracle: Sequence[int]) -> ExperimentReport:
+    """Aggregate ``results``; ``oracle`` holds the oracle length of each round
+    that proposed tokens, in decode and round order."""
     rounds = [rec for r in results for rec in r.rounds if rec.proposed_tokens]
     proposed = np.asarray([len(rec.proposed_tokens) for rec in rounds])
     accepted = np.asarray([rec.accepted_count for rec in rounds])
+    deltas = proposed - np.asarray(oracle)
     acc_mean, rej_mean = entropy_stats(rounds)
     trace = kl_trace(config.target, config.draft, results, config.kl_window)
     n_tokens = sum(r.generated for r in results)
@@ -446,7 +432,7 @@ def summarize_experiment(config: ExperimentConfig, results: list[DecodeResult],
         proposed_var=float(proposed.var()) if proposed.size else 0.0,
         accepted_mean=float(accepted.mean()) if accepted.size else 0.0,
         accepted_var=float(accepted.var()) if accepted.size else 0.0,
-        mean_delta_to_oracle=float(np.mean(deltas)) if len(deltas) else 0.0,
+        mean_delta_to_oracle=float(np.mean(deltas)) if deltas.size else 0.0,
         entropy_accepted_mean=acc_mean,
         entropy_rejected_mean=rej_mean,
         kl_trace=[float(v) for v in trace],

@@ -2,26 +2,32 @@
 
 A policy lives inside one decode session. The engine consults
 ``should_continue(tokens_this_round, next_entropy)`` after each drafted token
-and calls ``on_round_end`` once per round; no policy may propose more than the
-hard cap (default 40) in a single round.
+and, after each round that drafted, calls ``on_round_end`` with that round's
+``RoundRecord``; no policy may propose more than the hard cap (default 40) in
+a single round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # engine imports this module
+    from .engine import RoundRecord
 
 DEFAULT_CAP = 40
 DEFAULT_H = 0.3
 
 
 class LengthPolicy:
-    """Decides, inside a draft round, whether to keep drafting."""
+    """Decides, inside a draft round, whether to keep drafting; learns from
+    the ``RoundRecord`` of each round that proposed tokens."""
 
     def should_continue(self, tokens_this_round: int, next_entropy: float) -> bool:
         raise NotImplementedError
 
-    def on_round_end(self, proposed: int, accepted: int, all_accepted: bool) -> None:
+    def on_round_end(self, record: RoundRecord) -> None:
         pass
 
 
@@ -57,8 +63,8 @@ class HeuristicPolicy(LengthPolicy):
     def should_continue(self, tokens_this_round: int, next_entropy: float) -> bool:
         return tokens_this_round < self.length
 
-    def on_round_end(self, proposed: int, accepted: int, all_accepted: bool) -> None:
-        if all_accepted:
+    def on_round_end(self, record: RoundRecord) -> None:
+        if record.correction is None:
             self.length = min(self.length + 2, self.cap)
         else:
             self.length = max(self.length - 1, 1)

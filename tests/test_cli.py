@@ -361,6 +361,34 @@ class TestExperiment:
                      str(tmp_path / "o")]) == 1
         assert "seeds" in capsys.readouterr().err
 
+    def test_infinite_values_written_as_strict_json(self, tmp_path):
+        # The target never emits token 2 where the draft can, so KL(q||p)
+        # is infinite at every rejected position. The config's 1e999 is
+        # read as inf and echoed.
+        spec = tmp_path / "zero.json"
+        spec.write_text(json.dumps({
+            "vocab_size": 3, "context_order": 1,
+            "rows": [{"context": [-1], "probs": [0.5, 0.5, 0.0]},
+                     {"context": [0], "probs": [0.3, 0.7, 0.0]},
+                     {"context": [1], "probs": [0.6, 0.4, 0.0]},
+                     {"context": [2], "probs": [0.2, 0.3, 0.5]}]}))
+        doc = json.dumps({
+            "target_spec": str(spec),
+            "draft_spec": {"temper": {"tau": 1.0, "eps": 0.5}},
+            "mode": "sampling", "policy": {"kind": "constant", "k": 3},
+            "horizon": 60, "prompts": [[0]], "seeds": [1, 2]})
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(doc[:-1] + ', "note": [1e999, -1e999]}')
+        out = tmp_path / "inf"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert doc["kl_trace"] == ["inf", "inf", "inf", None, None]
+        assert doc["config_echo"]["note"] == ["inf", "-inf"]
+
     def test_byte_identical_reruns(self, tmp_path, target_spec):
         cfg = self.experiment_config(tmp_path, target_spec)
         out_a, out_b = tmp_path / "ea", tmp_path / "eb"

@@ -119,7 +119,7 @@ def reference_decode(target, draft, prompt, max_len, policy, mode, rng):
             next_entropy=next_entropy, accepted_count=accepted,
             correction=correction, bonus=bonus))
         if proposed:
-            policy.on_round_end(len(proposed), accepted, accepted == len(proposed))
+            policy.on_round_end(result.rounds[-1])
     return result
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -191,9 +190,12 @@ class TestOracleLengths:
             st.integers(0, len(prefixes) - 1), st.integers(0, 2 ** 32 - 1),
             st.lists(st.integers(0, vocab - 1), max_size=5)), max_size=12), label="lanes")
         width = max(target.context_order, draft.context_order)
-        decode_of = array("I", [d for d, _, _ in lanes])
-        round_of = array("I", [r for _, r, _ in lanes])
-        streams = KeyedStreams(harness_module._oracle_keys(prefixes, decode_of, round_of))
+        # Keys as run_experiment builds them: uint32 rows when every seed
+        # fits in 32 bits, else tuples.
+        keys = [(*prefixes[d], r, harness_module._ORACLE_SALT) for d, r, _ in lanes]
+        if all(s <= 0xFFFF_FFFF for s, _ in prefixes):
+            keys = np.array(keys, np.uint32).reshape(-1, 4)
+        streams = KeyedStreams(keys)
         starts = [context_index(prefix, len(prefix), vocab, width) for _, _, prefix in lanes]
         got = oracle_lengths(target, draft, starts, mode,
                              None if mode is GREEDY else streams, cap)
@@ -689,8 +691,10 @@ class TestRunExperiment:
 
     def test_summarize_is_pure(self, report):
         config, rep = report
-        again = summarize_experiment(config, rep.results, [0.0])
+        rounds = [rec for r in rep.results for rec in r.rounds if rec.proposed_tokens]
+        again = summarize_experiment(config, rep.results, [0] * len(rounds))
         assert again.accept_rate == rep.accept_rate
+        assert again.mean_delta_to_oracle == rep.proposed_mean
 
     @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
     def test_round_starts_read_from_records(self, report, monkeypatch, mode):
@@ -779,7 +783,7 @@ class TestTrailingContext:
     def reference_experiment(config, monkeypatch):
         """``run_experiment`` with whole-prefix model calls throughout and
         per-call draws from generators numpy seeds from the same keys."""
-        results, deltas = [], []
+        results, oracle = [], []
         for seed in config.seeds:
             for pi, prompt in enumerate(config.prompts):
                 result = reference_decode(config.target, config.draft, prompt,
@@ -790,15 +794,14 @@ class TestTrailingContext:
                 for rec in result.rounds:
                     if not rec.proposed_tokens:
                         continue
-                    oracle = reference_oracle(
+                    oracle.append(reference_oracle(
                         config.target, config.draft,
                         result.output_tokens[:rec.start_len], config.mode,
                         np.random.default_rng((seed, pi, rec.round_index,
                                                harness_module._ORACLE_SALT)),
-                        config.oracle_cap)
-                    deltas.append(len(rec.proposed_tokens) - oracle)
+                        config.oracle_cap))
         monkeypatch.setattr(harness_module, "kl_trace", reference_kl_trace)
-        return summarize_experiment(config, results, deltas)
+        return summarize_experiment(config, results, oracle)
 
     def test_experiment_bounded_and_same_as_whole_prefix(self, monkeypatch):
         target = random_tabular(4, 2, make_rng(61), spiky_fraction=0.5)

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from speclab.dist import entropy, make_rng, sample
-from speclab.engine import DecodeMode, speculative_decode
-from speclab.models import random_tabular, temper
+from speclab.engine import DecodeMode, RoundRecord, speculative_decode
+from speclab.models import TabularModel, random_tabular, temper
 from speclab.policies import (ConstantPolicy, HeuristicPolicy, SvipConfig,
                               SvipPolicy, threshold_from_bound)
 
@@ -21,6 +22,14 @@ def simulate_round_lengths(policy, entropies_by_position, room=1000):
         if not policy.should_continue(j, entropies_by_position[j]):
             break
     return j
+
+
+def round_record(proposed, accepted):
+    """A record of a round that proposed ``proposed`` tokens and accepted
+    ``accepted`` of them, closed by a bonus when it accepted all."""
+    full = accepted == proposed
+    return RoundRecord(0, 1, 0, [0] * proposed, [0.0] * proposed, None, accepted,
+                       None if full else 0, 0 if full else None)
 
 
 class TestConstantPolicy:
@@ -48,7 +57,7 @@ class TestConstantPolicy:
 
     def test_stateless_across_rounds(self):
         policy = ConstantPolicy(3)
-        policy.on_round_end(3, 1, False)
+        policy.on_round_end(round_record(3, 1))
         assert policy.should_continue(2, 9.9)
         assert not policy.should_continue(3, 0.0)
 
@@ -67,22 +76,22 @@ class TestConstantPolicy:
 class TestHeuristicPolicy:
     def test_grows_by_two_on_full_acceptance(self):
         policy = HeuristicPolicy(5, 40)
-        policy.on_round_end(5, 5, True)
+        policy.on_round_end(round_record(5, 5))
         assert policy.length == 7
 
     def test_shrinks_by_one_on_rejection(self):
         policy = HeuristicPolicy(5, 40)
-        policy.on_round_end(5, 3, False)
+        policy.on_round_end(round_record(5, 3))
         assert policy.length == 4
 
     def test_floor_at_one(self):
         policy = HeuristicPolicy(1, 40)
-        policy.on_round_end(1, 0, False)
+        policy.on_round_end(round_record(1, 0))
         assert policy.length == 1
 
     def test_cap(self):
         policy = HeuristicPolicy(39, 40)
-        policy.on_round_end(39, 39, True)
+        policy.on_round_end(round_record(39, 39))
         assert policy.length == 40
 
     def test_invalid_init(self):
@@ -139,7 +148,7 @@ class TestSvipPolicy:
 
     def test_no_cross_round_state(self):
         policy = SvipPolicy(SvipConfig(h=0.5))
-        policy.on_round_end(3, 0, False)
+        policy.on_round_end(round_record(3, 0))
         assert policy.should_continue(1, 0.2)
 
     def test_stop_contract_in_decodes(self):
@@ -181,6 +190,41 @@ class TestSvipPolicy:
                         break
                 lengths.append(j)
             assert lengths == sorted(lengths)
+
+
+class TestRoundEndContract:
+    @pytest.mark.parametrize("mode", list(DecodeMode))
+    @pytest.mark.parametrize("make", [lambda: ConstantPolicy(3), HeuristicPolicy,
+                                      lambda: SvipPolicy(SvipConfig(0.85))],
+                             ids=["constant", "heuristic", "svip"])
+    def test_receives_each_drafted_rounds_record(self, make, mode):
+        # Half the draft's rows come from an unrelated table, so that greedy
+        # rounds are rejected too.
+        target = random_tabular(5, 2, make_rng(31), spiky_fraction=0.5)
+        other = random_tabular(5, 2, make_rng(131), spiky_fraction=0.5)
+        half = (np.arange(len(target.index)) % 2 == 0)[:, None]
+        draft = temper(TabularModel(5, 2, target.index,
+                                    np.where(half, target.probs, other.probs)), 2.0, 0.15)
+        policy = make()
+        seen = []
+        update = policy.on_round_end
+
+        def on_round_end(record):
+            seen.append(record)
+            update(record)
+
+        policy.on_round_end = on_round_end
+        res = speculative_decode(target, draft, [0], 300, policy, mode, make_rng(32))
+        want = [rec for rec in res.rounds if rec.proposed_tokens]
+        assert len(seen) == len(want)
+        assert all(got is rec for got, rec in zip(seen, want))
+        full = [rec.accepted_count == len(rec.proposed_tokens) for rec in want]
+        assert any(full) and not all(full)
+        if isinstance(policy, HeuristicPolicy):
+            length = 5
+            for ok in full:
+                length = min(length + 2, 40) if ok else max(length - 1, 1)
+            assert policy.length == length
 
 
 class TestThresholdFromBound:
