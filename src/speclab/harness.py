@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,6 +83,21 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
     return n
 
 
+@contextmanager
+def _draw_stream(rng: Rng, mode: DecodeMode) -> Iterator[Rng]:
+    """``rng``, or under sampling over a ``rewindable`` generator one
+    ``Uniforms`` stream over it, closed on exit, also when the body raises:
+    ``rng`` ends where per-call draws leave it."""
+    if mode is not DecodeMode.SAMPLING or not rewindable(rng):
+        yield rng
+        return
+    stream = Uniforms(rng)
+    try:
+        yield stream
+    finally:
+        stream.close()
+
+
 def oracle_length_stats(target: AutoregressiveModel, draft: AutoregressiveModel,
                         prompts: Sequence[Sequence[int]], mode: DecodeMode,
                         rng: Rng, cap: int, n_runs: int):
@@ -92,15 +109,9 @@ def oracle_length_stats(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    stream = None
-    if mode is DecodeMode.SAMPLING and rewindable(rng):
-        rng = stream = Uniforms(rng)
-    try:
-        lengths = [oracle_draft_length(target, draft, prompt, mode, rng, cap)
+    with _draw_stream(rng, mode) as draws:
+        lengths = [oracle_draft_length(target, draft, prompt, mode, draws, cap)
                    for prompt in prompts for _ in range(n_runs)]
-    finally:
-        if stream is not None:
-            stream.close()
     arr = np.asarray(lengths)
     histogram = np.bincount(arr, minlength=cap + 1)
     return float(arr.mean()), float(arr.var()), histogram
@@ -131,34 +142,36 @@ def kl_trace(target: AutoregressiveModel, draft: AutoregressiveModel,
     the same round; rounds shorter than the window contribute the positions
     they have. Entries with no contributing round are NaN. Length is always
     window + 1.
+
+    Each rejected round's context index is stepped once from its
+    ``start_index`` to the rejected position. The sums and counts are Python
+    numbers, each entry adding its terms in round order, and become arrays
+    once at the end.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     radix, _, span = context_window(target, draft)
-    sums = np.zeros(window + 1)
-    counts = np.zeros(window + 1, dtype=int)
+    sums = [0.0] * (window + 1)
+    counts = [0] * (window + 1)
     kls: dict[int, float] = {}  # KL(q||p) by the context index naming both rows
     for result in results:
         for rec in result.rounds:
             if rec.correction is None:
                 continue
-            reject_idx = rec.accepted_count
-            # Context index of every position up to the rejected one.
-            indices = [rec.start_index]
-            for token in rec.proposed_tokens[:reject_idx]:
-                indices.append((indices[-1] * radix + token + 1) % span)
-            for j in range(window + 1):
-                pos = reject_idx - j
-                if pos < 0:
-                    break
-                i = indices[pos]
-                kl = kls.get(i)
-                if kl is None:
-                    kl = kls[i] = kl_divergence(draft.row(i), target.row(i))
-                sums[j] += kl
-                counts[j] += 1
+            j = rec.accepted_count  # steps from context i to the rejected position
+            i = rec.start_index
+            for token in rec.proposed_tokens[:j + 1]:
+                if j <= window:
+                    kl = kls.get(i)
+                    if kl is None:
+                        kl = kls[i] = kl_divergence(draft.row(i), target.row(i))
+                    sums[j] += kl
+                    counts[j] += 1
+                i = (i * radix + token + 1) % span
+                j -= 1
+    n = np.array(counts)
     with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return np.where(n > 0, np.array(sums) / np.maximum(n, 1), np.nan)
 
 
 def sorted_logprob_profile(dist: Distribution, top_m: int) -> np.ndarray:
@@ -226,6 +239,10 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     empirical and exact sequence distributions with a pass/fail verdict at
     ``threshold``. Sampled continuations outside the exact support count in
     full.
+
+    Under sampling over a ``rewindable`` generator the decodes draw through
+    one ``Uniforms`` stream, closed when they end or raise: ``rng`` ends
+    where per-call draws leave it.
     """
     check_equivalence_size(target.vocab_size, horizon, n_samples)
     max_len = len(prompt) + horizon
@@ -235,10 +252,11 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     else:
         exact = exact_sequence_probs(target, prompt, horizon)
     counts: Counter[tuple[int, ...]] = Counter()
-    for _ in range(n_samples):
-        result = speculative_decode(target, draft, prompt, max_len,
-                                    policy_factory(), mode, rng)
-        counts[tuple(result.output_tokens[len(prompt):])] += 1
+    with _draw_stream(rng, mode) as draws:
+        for _ in range(n_samples):
+            result = speculative_decode(target, draft, prompt, max_len,
+                                        policy_factory(), mode, draws)
+            counts[tuple(result.output_tokens[len(prompt):])] += 1
     total = sum(c for seq, c in counts.items() if seq not in exact) / n_samples
     for seq, p_exact in exact.items():
         total += abs(counts.get(seq, 0) / n_samples - p_exact)
@@ -308,24 +326,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Each round that proposed tokens is re-simulated by ``oracle_lengths``, in
     one batch, from its record's ``start_index``; under sampling with the
     stream of ``make_rng((seed, pi, round_index, _ORACLE_SALT))``, its key
-    read from the record, so reports are reproducible. The keys reach
-    ``KeyedStreams`` as one uint32 array when every seed fits in 32 bits,
-    else as tuples. A greedy oracle draws nothing and gets no streams.
+    read from the record, so reports are reproducible. The keys are gathered
+    as one flat list of ints. They reach ``KeyedStreams`` as one ``(n, 4)``
+    uint32 array when every seed fits in 32 bits, else regrouped into
+    tuples. A greedy oracle draws nothing and gets no streams.
     """
     results: list[DecodeResult] = []
-    keys: list[tuple[int, int, int, int]] = []
+    keys: list[int] = []  # (seed, pi, round_index, _ORACLE_SALT) per round, flat
     starts: list[int] = []
     for seed, pi, result in seeded_decodes(config):
         for rec in result.rounds:
             if rec.proposed_tokens:
-                keys.append((seed, pi, rec.round_index, _ORACLE_SALT))
+                keys += seed, pi, rec.round_index, _ORACLE_SALT
                 starts.append(rec.start_index)
         results.append(result)
     streams = None
     if config.mode is not DecodeMode.GREEDY:
         if all(0 <= seed <= 0xFFFF_FFFF for seed in config.seeds):
-            keys = np.array(keys, np.uint32).reshape(-1, 4)
-        streams = KeyedStreams(keys)
+            streams = KeyedStreams(np.array(keys, np.uint32).reshape(-1, 4))
+        else:
+            streams = KeyedStreams(list(zip(*[iter(keys)] * 4)))
     oracle = oracle_lengths(config.target, config.draft, starts, config.mode,
                             streams, config.oracle_cap)
     return summarize_experiment(config, results, oracle)
@@ -476,16 +496,19 @@ def round_csv_columns(results: Iterable[DecodeResult]) -> dict[str, list]:
 
 def _row_means(rows: Sequence[Sequence[float]]) -> list[float | None]:
     """``float(np.mean(row))`` of each row, None for an empty one, with one
-    ``np.mean(axis=1)`` per distinct row length instead of one call per row.
-    numpy sums each row of the stack with the loop it sums the row alone
-    with, so every value is bit-identical (a test pins this)."""
+    ``mean(axis=1)`` per distinct row length instead of one call per row.
+    Each length's rows are read by ``np.fromiter`` into the ``(n, L)``
+    float64 stack that ``np.mean`` would build from them, and numpy sums each
+    row of it with the loop it sums the row alone with, so every value is
+    bit-identical (a test pins this)."""
     by_len: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         if row:
             by_len.setdefault(len(row), []).append(i)
     means: list[float | None] = [None] * len(rows)
-    for idx in by_len.values():
-        stacked = np.mean([rows[i] for i in idx], axis=1)
-        for i, m in zip(idx, stacked.tolist()):
+    for length, idx in by_len.items():
+        stack = np.fromiter(chain.from_iterable(map(rows.__getitem__, idx)),
+                            np.float64, len(idx) * length)
+        for i, m in zip(idx, stack.reshape(len(idx), length).mean(axis=1).tolist()):
             means[i] = m
     return means

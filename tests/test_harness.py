@@ -405,6 +405,27 @@ class TestKlTrace:
         trace = kl_trace(target, draft, results, window=4)
         assert len(trace) == 5
 
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_bit_identical_to_whole_prefix_reference(self, seed, mode):
+        # Window 50 is longer than any round, so its tail entries are NaN.
+        gen = make_rng(seed)
+        target = random_tabular(4, 2, gen, spiky_fraction=0.4)
+        draft = (random_tabular(4, 1, gen) if mode is GREEDY
+                 else temper(target, 2.0, 0.2))
+        results = [engine_module.speculative_decode(
+            target, draft, [t % 4], 60, ConstantPolicy(6), mode, gen)
+            for t in range(6)]
+        rejected = [rec for r in results for rec in r.rounds
+                    if rec.correction is not None]
+        assert any(rec.accepted_count == 0 for rec in rejected)
+        assert any(rec.accepted_count > 0 for rec in rejected)
+        for window in (1, 4, 50):
+            got = kl_trace(target, draft, results, window)
+            want = reference_kl_trace(target, draft, results, window)
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[-1])
+
 
 class TestSortedLogprobProfile:
     def test_uniform(self):
@@ -576,6 +597,36 @@ class TestEquivalence:
             equivalence_test(target, draft, lambda: ConstantPolicy(3), [0],
                              horizon=2, n_samples=100, rng=make_rng(0))
 
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937", "pcg64-half"])
+    def test_same_as_per_call_draws(self, pair, kind):
+        target, draft = pair
+        rng, ref = generator(kind, 28), generator(kind, 28)
+        got, want = (equivalence_test(target, draft, lambda: ConstantPolicy(3),
+                                      [0], horizon=3, n_samples=10_000, rng=draws)
+                     for draws in (rng, PerCall(ref)))
+        assert got == want
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("kind", ["pcg64", "mt19937", "pcg64-half"])
+    def test_decodes_that_raise(self, pair, kind):
+        """A policy factory that raises partway leaves the generator past
+        the draws the decodes before it made, no further."""
+        target, draft = pair
+        rng, ref = generator(kind, 29), generator(kind, 29)
+        for draws in (rng, PerCall(ref)):
+            made = []
+
+            def factory():
+                if len(made) == 4321:
+                    raise LookupError("factory")
+                made.append(None)
+                return ConstantPolicy(3)
+
+            with pytest.raises(LookupError):
+                equivalence_test(target, draft, factory, [0], horizon=3,
+                                 n_samples=10_000, rng=draws)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
     def test_tvd_counts_mass_outside_exact_support(self, monkeypatch):
         # Accepting every draft token emits tokens the target gives no mass.
         target = tabular_from_spec({
@@ -664,11 +715,12 @@ class TestRunExperiment:
 
     def test_round_csv_mean_entropy_bit_identical(self):
         # Means are taken per group of equal length; each must equal the
-        # round's own np.mean bit for bit, rows in their order.
+        # round's own np.mean bit for bit, rows in their order. Every length
+        # from 0 to 40 occurs, interleaved; an empty row's mean is None.
         gen = make_rng(8)
         rounds = []
         for i in range(600):
-            n = int(gen.integers(1, 41)) if i % 7 else 0
+            n = i * 7 % 41
             rounds.append(RoundRecord(i % 300, 0, 0, [0] * n,
                                       (gen.random(n) * math.log(3)).tolist(),
                                       None, 0, None, 0))
