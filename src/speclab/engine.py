@@ -13,13 +13,17 @@ from typing import Sequence
 
 from .dist import (BLOCK, Distribution, Rng, Uniforms, argmax, entropy,
                    residual, rewindable, sample)
-from .models import AutoregressiveModel, context_index, context_window
+from .models import AutoregressiveModel, context_window, prompt_index
 from .policies import LengthPolicy
 
 
 class DecodeMode(Enum):
     SAMPLING = "sampling"
     GREEDY = "greedy"
+
+
+# One global read per decode, in place of an attribute lookup on the Enum.
+_GREEDY = DecodeMode.GREEDY
 
 
 @dataclass(slots=True)
@@ -88,12 +92,15 @@ def correct_greedy(p_dist: Distribution) -> int:
 def autoregressive_decode(target: AutoregressiveModel, prompt: Sequence[int],
                           max_len: int, mode: DecodeMode, rng: Rng) -> list[int]:
     """Target-model-only baseline: one token at a time up to ``max_len``."""
-    _check_prompt(prompt, max_len, target.vocab_size)
-    greedy = mode is DecodeMode.GREEDY
-    radix, width, span = context_window(target)
+    if len(prompt) == 0:
+        raise ValueError("prompt must be non-empty")
+    if max_len <= len(prompt):
+        raise ValueError(f"max_len {max_len} must exceed prompt length {len(prompt)}")
+    radix, _, span = context_window(target)
+    index = prompt_index(prompt, radix, span)
+    greedy = mode is _GREEDY
     row = target.row
     out = list(prompt)
-    index = context_index(out, len(out), target.vocab_size, width)
     while len(out) < max_len:
         d = row(index)
         token = argmax(d) if greedy else sample(d, rng)
@@ -131,16 +138,19 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     stream, closed when the decode returns or raises: the draws, and where
     ``rng`` ends, are those of per-call draws.
     """
-    radix, width, span = context_window(target, draft)
-    _check_prompt(prompt, max_len, target.vocab_size)
-    greedy = mode is DecodeMode.GREEDY
+    radix, _, span = context_window(target, draft)
+    if len(prompt) == 0:
+        raise ValueError("prompt must be non-empty")
+    if max_len <= len(prompt):
+        raise ValueError(f"max_len {max_len} must exceed prompt length {len(prompt)}")
+    index = prompt_index(prompt, radix, span)
+    greedy = mode is _GREEDY
     draft_row, target_row = draft.row, target.row
     should_continue, on_round_end = policy.should_continue, policy.on_round_end
 
     out = list(prompt)
     rounds: list[RoundRecord] = []
     draft_calls = probe_calls = 0
-    index = context_index(out, len(out), target.vocab_size, width)
     stream = None
     if not greedy and max_len - len(out) >= BLOCK and rewindable(rng):
         rng = stream = Uniforms(rng)
@@ -208,13 +218,3 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
 
     return DecodeResult(out, len(prompt), rounds, len(rounds), draft_calls,
                         probe_calls)
-
-
-def _check_prompt(prompt: Sequence[int], max_len: int, vocab_size: int) -> None:
-    if len(prompt) == 0:
-        raise ValueError("prompt must be non-empty")
-    if max_len <= len(prompt):
-        raise ValueError(f"max_len {max_len} must exceed prompt length {len(prompt)}")
-    for t in prompt:
-        if not 0 <= t < vocab_size:
-            raise ValueError(f"prompt token {t} out of vocab")

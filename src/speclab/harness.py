@@ -18,12 +18,15 @@ from .dist import (Distribution, KeyedStreams, Rng, Uniforms, argmax,
                    kl_divergence, make_rng, rewindable, sample, sample_rows)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
                      speculative_decode, verify_greedy, verify_sampling)
-from .models import AutoregressiveModel, context_index, context_window
+from .models import AutoregressiveModel, context_index, context_window, prompt_index
 from .policies import DEFAULT_CAP, LengthPolicy
 
 # Salt mixed into forked oracle rng streams so they never collide with the
 # decode session stream derived from the same seed.
 _ORACLE_SALT = 0x0AC1E
+
+# One global read per call, in place of an attribute lookup on the Enum.
+_GREEDY = DecodeMode.GREEDY
 
 
 @dataclass
@@ -64,12 +67,14 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
 
     Simulates drafting with per-token verification until the first rejection
     or ``cap``; under sampling the accept coins use fresh draws from ``rng``.
+    ``prefix`` is checked as a decoder checks its prompt, except that it may
+    be empty: the all-BOS context.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    radix, width, span = context_window(target, draft)
-    greedy = mode is DecodeMode.GREEDY
-    index = context_index(prefix, len(prefix), target.vocab_size, width)
+    radix, _, span = context_window(target, draft)
+    index = prompt_index(prefix, radix, span)
+    greedy = mode is _GREEDY
     n = 0
     while n < cap:
         q = draft.row(index)
@@ -246,7 +251,7 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     """
     check_equivalence_size(target.vocab_size, horizon, n_samples)
     max_len = len(prompt) + horizon
-    if mode is DecodeMode.GREEDY:  # draws nothing from rng
+    if mode is _GREEDY:  # draws nothing from rng
         chain = autoregressive_decode(target, prompt, max_len, mode, rng)
         exact = {tuple(chain[len(prompt):]): 1.0}
     else:
@@ -341,7 +346,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 starts.append(rec.start_index)
         results.append(result)
     streams = None
-    if config.mode is not DecodeMode.GREEDY:
+    if config.mode is not _GREEDY:
         if all(0 <= seed <= 0xFFFF_FFFF for seed in config.seeds):
             streams = KeyedStreams(np.array(keys, np.uint32).reshape(-1, 4))
         else:
@@ -369,7 +374,7 @@ def oracle_lengths(target: AutoregressiveModel, draft: AutoregressiveModel,
     if cap < 1:
         raise ValueError("cap must be >= 1")
     radix, _, span = context_window(target, draft)
-    greedy = mode is DecodeMode.GREEDY
+    greedy = mode is _GREEDY
     vocab = target.vocab_size
     contexts: list[int] = []  # the context index of each row in the stacks
     row_of: dict[int, int] = {}

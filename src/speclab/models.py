@@ -50,9 +50,29 @@ def context_window(target: AutoregressiveModel,
         if draft.vocab_size != target.vocab_size:
             raise ValueError(f"model pair mismatch: target vocab {target.vocab_size}, "
                              f"draft vocab {draft.vocab_size}")
-        width = max(width, draft.context_order)
+        order = draft.context_order
+        if order > width:
+            width = order
     radix = target.vocab_size + 1
     return radix, width, radix ** width
+
+
+def prompt_index(prompt: Iterable[int], radix: int, span: int) -> int:
+    """Check a prompt and return its ``context_index`` over the window
+    ``(radix, _, span)`` of ``context_window``, in one pass.
+
+    Every token must lie in ``[0, radix - 1)``; the first one outside raises
+    ``ValueError`` naming it. The index steps per token as a decoder steps
+    it, ``(index * radix + t + 1) % span``, so an empty prompt is the
+    all-BOS context, index 0.
+    """
+    vocab_size = radix - 1
+    index = 0
+    for t in prompt:
+        if not 0 <= t < vocab_size:
+            raise ValueError(f"prompt token {t} out of vocab")
+        index = (index * radix + int(t) + 1) % span
+    return index
 
 
 def context_space(vocab_size: int, order: int) -> Iterator[tuple[int, ...]]:

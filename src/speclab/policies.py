@@ -39,7 +39,7 @@ class ConstantPolicy(LengthPolicy):
             raise ValueError("invalid length: k must be >= 1")
         if cap < 1:
             raise ValueError("invalid length: cap must be >= 1")
-        self.k = min(k, cap)
+        self.k = k if k <= cap else cap
 
     def should_continue(self, tokens_this_round: int, next_entropy: float) -> bool:
         return tokens_this_round < self.k

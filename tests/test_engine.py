@@ -1,5 +1,6 @@
 """Verify/Correct primitives and the decode loops."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -18,8 +19,9 @@ from speclab.engine import (DecodeMode, DecodeResult, RoundRecord,
                             correct_sampling, speculative_decode,
                             verify_greedy, verify_sampling)
 from speclab.models import (AutoregressiveModel, TabularModel, context_index,
-                            context_indices, context_space, random_tabular,
-                            tabular_from_spec, temper)
+                            context_indices, context_space, context_window,
+                            prompt_index, random_tabular, tabular_from_spec,
+                            temper)
 from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                               SvipConfig, SvipPolicy)
 from test_dist import generator
@@ -408,6 +410,155 @@ class TestSpeculativeDecode:
         with pytest.raises(ValueError, match="out of vocab"):
             speculative_decode(model, model, [9], 10, ConstantPolicy(3),
                                SAMPLING, make_rng(0))
+
+
+def reference_check_prompt(prompt, max_len, vocab_size):
+    """The decoders' prompt check as it was before ``prompt_index`` took
+    over the vocab check: its errors and their order."""
+    if len(prompt) == 0:
+        raise ValueError("prompt must be non-empty")
+    if max_len <= len(prompt):
+        raise ValueError(f"max_len {max_len} must exceed prompt length {len(prompt)}")
+    for t in prompt:
+        if not 0 <= t < vocab_size:
+            raise ValueError(f"prompt token {t} out of vocab")
+
+
+def error_of(fn, *args):
+    """The message of the ValueError that ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@functools.cache
+def shared_tabular(vocab, order):
+    return random_tabular(vocab, order, make_rng(100 * vocab + order))
+
+
+class TestPromptIndex:
+    """One pass checks a prompt and builds the decode's start index: the
+    index is ``context_index`` of the whole prompt over the pair's window,
+    and a bad input raises the same error, in the same order, as the
+    check it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_same_index_and_errors_as_the_two_pass_reference(self, data):
+        vocab = data.draw(st.integers(1, 5), label="vocab")
+        # One draft in four has another vocab: a pair mismatch.
+        draft_vocab = data.draw(st.sampled_from([vocab] * 3 + [vocab % 5 + 1]),
+                                label="draft vocab")
+        target = shared_tabular(vocab, data.draw(st.integers(0, 4), label="target order"))
+        draft = shared_tabular(draft_vocab, data.draw(st.integers(0, 4), label="draft order"))
+        # Prompts up to 12 tokens outrun the widest window (4). Up to two
+        # positions get a token out of the vocab, on either side.
+        n = data.draw(st.integers(0, 12), label="prompt length")
+        prompt = data.draw(st.lists(st.integers(0, vocab - 1), min_size=n, max_size=n),
+                           label="prompt")
+        for t in data.draw(st.lists(st.sampled_from([-2, -1, vocab, vocab + 1]),
+                                    max_size=2 if n else 0), label="bad tokens"):
+            prompt[data.draw(st.integers(0, n - 1), label="bad position")] = t
+        as_type = data.draw(st.sampled_from([int, np.int64, np.int32]), label="type")
+        prompt = [as_type(t) for t in prompt]
+        max_len = n + data.draw(st.sampled_from([1, 3, 0, -1]), label="room")
+
+        def reference_speculative():
+            context_window(target, draft)
+            reference_check_prompt(prompt, max_len, vocab)
+
+        def reference_autoregressive():
+            reference_check_prompt(prompt, max_len, vocab)
+            context_window(target)
+
+        want = error_of(reference_speculative)
+        assert error_of(speculative_decode, target, draft, prompt, max_len,
+                        ConstantPolicy(2), SAMPLING, make_rng(0)) == want
+        assert (error_of(autoregressive_decode, target, prompt, max_len, SAMPLING,
+                         make_rng(0)) == error_of(reference_autoregressive))
+
+        radix = vocab + 1
+        width = max(target.context_order, draft.context_order)
+        bad = [t for t in prompt if not 0 <= t < vocab]
+        if bad:
+            with pytest.raises(ValueError, match=rf"^prompt token {bad[0]} out of vocab$"):
+                prompt_index(prompt, radix, radix ** width)
+            return
+        index = prompt_index(prompt, radix, radix ** width)
+        assert type(index) is int
+        assert index == context_index(prompt, len(prompt), vocab, width)
+        if want is None:
+            res = speculative_decode(target, draft, prompt, max_len,
+                                     ConstantPolicy(2), SAMPLING, make_rng(0))
+            assert res.rounds[0].start_index == index
+
+
+# Hooks the controls and the tracer patch on ``speclab.engine``.
+HOOKS = ("sample", "entropy", "argmax", "verify_sampling", "verify_greedy",
+         "correct_sampling", "correct_greedy", "residual")
+
+
+def hook_calls(results, mode):
+    """Calls of each hook that decodes with these results make, every one
+    resolved through ``speclab.engine``: a draft token, bonus and (through
+    ``correct_sampling``) correction each sample once; greedy ``verify`` and
+    ``correct`` each read the argmax; every drafted row and every probe reads
+    one entropy."""
+    rounds = [rec for res in results for rec in res.rounds]
+    drafted = sum(len(rec.proposed_tokens) for rec in rounds)
+    bonuses = sum(rec.bonus is not None for rec in rounds)
+    corrections = sum(rec.correction is not None for rec in rounds)
+    verified = sum(rec.accepted_count for rec in rounds) + corrections
+    calls = dict.fromkeys(HOOKS, 0)
+    calls["entropy"] = sum(res.draft_forward_calls + res.draft_probe_calls
+                           for res in results)
+    if mode is GREEDY:
+        calls.update(argmax=drafted + bonuses + verified + corrections,
+                     verify_greedy=verified, correct_greedy=corrections)
+    else:
+        calls.update(sample=drafted + bonuses + corrections, verify_sampling=verified,
+                     correct_sampling=corrections, residual=corrections)
+    return calls
+
+
+class TestHookContract:
+    """A decode resolves every hook through ``speclab.engine`` on each
+    call: a counting pass-through patched over each one sees every call
+    its mode makes and leaves the output as it was. A hook inlined into the
+    decode loop, even at one call site, fails here."""
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("horizon", [3, 200])
+    def test_every_hook_call_goes_through_the_module(self, monkeypatch, mode, horizon):
+        target = random_tabular(4, 2, make_rng(81), spiky_fraction=0.3)
+        # An unrelated draft disagrees with the target's argmax, so greedy
+        # rounds reject too.
+        draft = random_tabular(4, 1, make_rng(82))
+        factories = [lambda: ConstantPolicy(3), lambda: HeuristicPolicy(2),
+                     lambda: SvipPolicy(SvipConfig(h=0.6))]
+
+        def decodes():
+            rng = make_rng(83)
+            return [speculative_decode(target, draft, [0, 1], 2 + horizon,
+                                       factories[i % 3](), mode, rng)
+                    for i in range(30)]
+
+        want = decodes()
+        calls = dict.fromkeys(HOOKS, 0)
+        for name in HOOKS:
+            def counting(*args, _name=name, _hook=getattr(speclab.engine, name)):
+                calls[_name] += 1
+                return _hook(*args)
+            monkeypatch.setattr(speclab.engine, name, counting)
+        assert decodes() == want
+        assert calls == hook_calls(want, mode)
+        used = {name for name, n in calls.items() if n}
+        assert used == ({"argmax", "entropy", "verify_greedy", "correct_greedy"}
+                        if mode is GREEDY else
+                        {"sample", "entropy", "verify_sampling", "correct_sampling",
+                         "residual"})
 
 
 class TestExpectedRoundLength:

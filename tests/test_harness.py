@@ -133,6 +133,29 @@ class TestOracleDraftLength:
         with pytest.raises(ValueError, match="model pair mismatch"):
             oracle_lengths(target, draft, [0], SAMPLING, KeyedStreams([(0,)]), 5)
 
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("prefix, bad", [
+        ([5], 5), ([-2], -2), ([0, 3, 1], 3), ([1, np.int64(-1)], -1),
+    ])
+    def test_prefix_out_of_vocab_rejected(self, prefix, bad, mode):
+        # A prefix is checked as a decoder checks its prompt: an
+        # out-of-vocab token is named, never folded into a context index.
+        target = random_tabular(3, 1, make_rng(10))
+        draft = temper(target, 2.0, 0.2)
+        message = rf"^prompt token {bad} out of vocab$"
+        with pytest.raises(ValueError, match=message):
+            oracle_draft_length(target, draft, prefix, mode, make_rng(0), 5)
+        with pytest.raises(ValueError, match=message):
+            oracle_length_stats(target, draft, [[0], prefix], mode, make_rng(0), 5, 2)
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    def test_empty_prefix_is_the_all_bos_context(self, mode):
+        target = random_tabular(3, 2, make_rng(11))
+        draft = temper(target, 2.0, 0.2)
+        for seed in range(20):
+            assert (oracle_draft_length(target, draft, [], mode, make_rng(seed), 8)
+                    == reference_oracle(target, draft, [], mode, make_rng(seed), 8))
+
 
 class Holed(AutoregressiveModel):
     """``model`` with no row for the context index ``hole``."""
