@@ -316,15 +316,16 @@ def parse_experiment(cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
     seeds = parse_seeds(cfg, args.seed_override)
     horizon = parse_horizon(cfg, prompts)
     default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    cost_model = parse_cost_model(cfg)
+    oracle_cap = _get_count(cfg, "oracle_cap", required=False, default=default["oracle_cap"])
+    kl_window = _get_count(cfg, "kl_window", required=False, default=default["kl_window"])
+    if kl_window >= horizon:  # no round rejects that far in: the entries could never fill
+        raise ValidationError(f"kl_window: must be < horizon ({horizon})")
     return ExperimentConfig(
         target=target, draft=draft,
         policy_factory=policy_factory, policy_label=policy_label,
         mode=mode, horizon=horizon, prompts=prompts, seeds=seeds,
-        cost_model=parse_cost_model(cfg),
-        oracle_cap=_get_count(cfg, "oracle_cap", required=False,
-                              default=default["oracle_cap"]),
-        kl_window=_get_count(cfg, "kl_window", required=False,
-                             default=default["kl_window"]),
+        cost_model=cost_model, oracle_cap=oracle_cap, kl_window=kl_window,
         label=_get(cfg, "label", expect=str, required=False,
                    default=default["label"]),
     )

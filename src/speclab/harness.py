@@ -89,11 +89,12 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
 
 
 @contextmanager
-def _draw_stream(rng: Rng, mode: DecodeMode) -> Iterator[Rng]:
-    """``rng``, or under sampling over a ``rewindable`` generator one
-    ``Uniforms`` stream over it, closed on exit, also when the body raises:
-    ``rng`` ends where per-call draws leave it."""
-    if mode is not DecodeMode.SAMPLING or not rewindable(rng):
+def _draw_stream(rng: Rng) -> Iterator[Rng]:
+    """``rng``, or over a ``rewindable`` generator one ``Uniforms`` stream
+    over it, closed on exit, also when the body raises: ``rng`` ends where
+    per-call draws leave it. A stream that nothing draws from, as under
+    greedy, fetches nothing and so rewinds nothing."""
+    if not rewindable(rng):
         yield rng
         return
     stream = Uniforms(rng)
@@ -108,13 +109,13 @@ def oracle_length_stats(target: AutoregressiveModel, draft: AutoregressiveModel,
                         rng: Rng, cap: int, n_runs: int):
     """Mean, variance, and histogram of oracle lengths over prompts x runs.
 
-    Under sampling over a ``rewindable`` generator the runs draw through one
-    ``Uniforms`` stream, closed when the runs end or raise: ``rng`` ends
-    where per-call draws leave it.
+    Over a ``rewindable`` generator the runs draw through one ``Uniforms``
+    stream, closed when the runs end or raise: ``rng`` ends where per-call
+    draws leave it.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    with _draw_stream(rng, mode) as draws:
+    with _draw_stream(rng) as draws:
         lengths = [oracle_draft_length(target, draft, prompt, mode, draws, cap)
                    for prompt in prompts for _ in range(n_runs)]
     arr = np.asarray(lengths)
@@ -202,6 +203,8 @@ def exact_sequence_probs(target: AutoregressiveModel, prompt: Sequence[int],
     continuation, stepping one context index per token as the engine does."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if len(prompt) == 0:
+        raise ValueError("prompt must be non-empty")
     if not all(0 <= t < target.vocab_size for t in prompt):
         raise ValueError("prompt token out of vocab")
     radix, width, span = context_window(target)
@@ -245,9 +248,9 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     ``threshold``. Sampled continuations outside the exact support count in
     full.
 
-    Under sampling over a ``rewindable`` generator the decodes draw through
-    one ``Uniforms`` stream, closed when they end or raise: ``rng`` ends
-    where per-call draws leave it.
+    Over a ``rewindable`` generator the decodes draw through one
+    ``Uniforms`` stream, closed when they end or raise: ``rng`` ends where
+    per-call draws leave it.
     """
     check_equivalence_size(target.vocab_size, horizon, n_samples)
     max_len = len(prompt) + horizon
@@ -257,7 +260,7 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     else:
         exact = exact_sequence_probs(target, prompt, horizon)
     counts: Counter[tuple[int, ...]] = Counter()
-    with _draw_stream(rng, mode) as draws:
+    with _draw_stream(rng) as draws:
         for _ in range(n_samples):
             result = speculative_decode(target, draft, prompt, max_len,
                                         policy_factory(), mode, draws)

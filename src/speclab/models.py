@@ -128,10 +128,8 @@ class RowMap(dict):
     row of ``index % span``; an index with a table row gets a Distribution
     over that row of the stack ``probs``; a context without a row gets
     ``default``, or raises when there is none. The table row is found by
-    binary search: ``sorted_index`` is the table's ``index`` in sorted
-    order, and ``rank`` maps a position of ``sorted_index`` to its row, or
-    is None when ``index`` is already sorted and ``sorted_index`` is
-    ``index`` itself.
+    binary search over ``index``, which is sorted, and is the row of
+    ``probs`` at the same position.
 
     The first table-row miss computes every row's entropy and cdf at once
     (``row_entropies`` and a stacked ``cumsum``, the values ``entropy`` and
@@ -142,14 +140,13 @@ class RowMap(dict):
     model alive until a garbage-collector pass.
     """
 
-    __slots__ = ("sorted_index", "rank", "probs", "span", "radix", "order",
-                 "default", "entropies", "cdfs")
+    __slots__ = ("index", "probs", "span", "radix", "order", "default",
+                 "entropies", "cdfs")
 
-    def __init__(self, sorted_index: np.ndarray, rank: np.ndarray | None,
-                 probs: np.ndarray, vocab_size: int, order: int, default: Distribution | None):
+    def __init__(self, index: np.ndarray, probs: np.ndarray, vocab_size: int,
+                 order: int, default: Distribution | None):
         super().__init__()
-        self.sorted_index = sorted_index
-        self.rank = rank
+        self.index = index
         self.probs = probs
         self.radix = vocab_size + 1
         self.order = order
@@ -158,12 +155,10 @@ class RowMap(dict):
         self.entropies = self.cdfs = None  # of every table row, on the first miss
 
     def __missing__(self, index: int) -> Distribution:
-        keys = self.sorted_index
+        keys = self.index
         if not 0 <= index < self.span:
             row = self[index % self.span]
         elif (k := keys.searchsorted(index)) < len(keys) and keys[k] == index:
-            if self.rank is not None:
-                k = self.rank[k]
             if self.cdfs is None:
                 self.entropies = row_entropies(self.probs)
                 self.cdfs = np.cumsum(self.probs, axis=1)
@@ -190,20 +185,19 @@ class RowMap(dict):
 class TabularModel(AutoregressiveModel):
     """Explicit lookup table from length-k contexts to next-token rows.
 
-    The table is two arrays: ``index``, the ``context_index`` of each row in
-    table order (``context_indices`` turns context tuples into it), and
-    ``probs``, the ``(rows, vocab_size)`` stack of the rows; both are made
-    read-only. The constructor is the one place a table is checked: the
+    The table is two arrays: ``index``, the ``context_index`` of each row
+    (``context_indices`` turns context tuples into it), and ``probs``, the
+    ``(rows, vocab_size)`` stack of the rows; both are read-only, and the
+    rows are stored in ascending ``index`` order whatever order they were
+    given in. The constructor is the one place a table is checked: the
     vocab and order, the stack's shape, every stacked row a distribution,
     every index in ``[0, span)`` and named once, and, without a ``default``
     row, a row for every reachable context. It builds no Distribution.
 
     ``rows`` is a ``RowMap``, a read cache over the stack, and ``row`` is
-    its bound ``__getitem__``: a row is found by binary search over the
-    sorted ``index`` and built on its first read, and every later read of
-    the same index is one dict lookup returning the same object. The
-    lookup is ``index`` itself when it is sorted, as the generators and
-    ``context_space`` order leave it; otherwise one ``argsort`` of it.
+    its bound ``__getitem__``: a row is found by binary search over
+    ``index`` and built on its first read, and every later read of the
+    same index is one dict lookup returning the same object.
     """
 
     def __init__(self, vocab_size: int, context_order: int, index: np.ndarray,
@@ -221,16 +215,17 @@ class TabularModel(AutoregressiveModel):
         if len(index) and (index.min() < 0 or index.max() >= span):
             bad = next(i for i in index.tolist() if not 0 <= i < span)
             raise ValueError(f"invalid index: context index {bad} outside [0, {span})")
-        keys, rank = index, None
         if not (index[1:] > index[:-1]).all():
             rank = np.argsort(index, kind="stable")
             keys = index[rank]
             same = np.flatnonzero(keys[1:] == keys[:-1])
-            if len(same):  # the first row, in table order, whose context came before
+            if len(same):  # the first row, in the order given, whose context came before
                 i = rank[same + 1].min()
                 raise ValueError(f"invalid model spec: rows[{i}].context: "
                                  f"duplicates rows[{rank[keys.searchsorted(index[i])]}]")
-        rows = RowMap(keys, rank, probs, vocab_size, context_order, default)
+            index, probs = keys, probs[rank]
+            probs.setflags(write=False)
+        rows = RowMap(index, probs, vocab_size, context_order, default)
         if default is None:
             _check_complete(rows)
         elif len(default) != vocab_size:
@@ -300,7 +295,7 @@ def _check_complete(rows: RowMap) -> None:
     for _ in range(small - 1):
         level = (level[:, None] * radix + np.arange(1, radix)).ravel()
         reachable = np.concatenate((reachable, level))
-    missing = np.flatnonzero(~np.isin(reachable, rows.sorted_index))
+    missing = np.flatnonzero(~np.isin(reachable, rows.index))
     if len(missing):
         key = rows.context_of(int(reachable[missing[0]]))
         raise ValueError(f"incomplete table: no row for context {key!r} and no default")
@@ -424,7 +419,7 @@ def tabular_to_spec(model: TabularModel) -> dict:
         "context_order": model.context_order,
         # Index order is context order: token t is digit t + 1, BOS digit 0.
         "rows": [{"context": list(model.rows.context_of(index)), "probs": probs}
-                 for index, probs in sorted(zip(model.index.tolist(), model.probs.tolist()))],
+                 for index, probs in zip(model.index.tolist(), model.probs.tolist())],
     }
     if model.default is not None:
         doc["default"] = model.default.probs.tolist()
@@ -465,8 +460,7 @@ def temper(base: TabularModel, tau: float, eps: float = 0.0) -> TabularModel:
     row = (1 - eps) * normalize(base_row^(1/tau)) + eps * uniform, for every
     row of the base table and for its default row. tau > 1 flattens, tau < 1
     sharpens; eps > 0 guarantees full support (every probability >=
-    eps / vocab_size). The draft shares the base's ``index``, and so, when
-    that is sorted, the sorted keys its rows are found by.
+    eps / vocab_size). The draft shares the base's ``index``.
     """
     if not tau > 0:
         raise ValueError("invalid temperature: tau must be positive")

@@ -173,6 +173,17 @@ class TestMalformedConfig:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    @pytest.mark.parametrize("window", [12, 13, 10 ** 9])
+    def test_kl_window_must_be_below_horizon(self, tmp_path, target_spec, capsys, window):
+        """No round rejects ``horizon`` or more positions in, so a window
+        that far is an error, not a trace of entries that never fill."""
+        cfg = decode_config(tmp_path, target_spec, kl_window=window)
+        for command in ("experiment", "decode"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err == "config error: kl_window: must be < horizon (12)\n"
+        cfg = decode_config(tmp_path, target_spec, kl_window=11)
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("overrides, path", [
         ({"oracle_cap": 0}, "oracle_cap"),
         ({"kl_window": True}, "kl_window"),

@@ -495,6 +495,20 @@ class TestExactSequenceProbs:
         with pytest.raises(ValueError, match="prompt token out of vocab"):
             exact_sequence_probs(random_tabular(3, 1, make_rng(0)), prompt, 2)
 
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    def test_empty_prompt_rejected_before_any_row_read(self, monkeypatch, mode):
+        target = random_tabular(3, 1, make_rng(0))
+        draft = temper(target, 2.0, 0.15)
+        reads = []
+        for model in (target, draft):
+            monkeypatch.setattr(model, "row", lambda i, row=model.row: reads.append(i) or row(i))
+        with pytest.raises(ValueError, match="^prompt must be non-empty$"):
+            exact_sequence_probs(target, [], 2)
+        with pytest.raises(ValueError, match="^prompt must be non-empty$"):
+            equivalence_test(target, draft, lambda: ConstantPolicy(3), [], horizon=2,
+                             n_samples=10_000, rng=make_rng(1), mode=mode)
+        assert reads == []
+
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_list_context_reference(self, order):
         rng = make_rng(26 + order)

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -467,8 +468,9 @@ class TestStackedLoad:
 @st.composite
 def shuffled_tables(draw, min_rows=0):
     """``(vocab, order, index, probs, default)`` of a table whose rows come
-    in a drawn order, with or without a default row; some tables have a
-    span of 2**63 or more, and so an object-dtype index."""
+    in a drawn order, each row's probs set by its context, with or without
+    a default row; some tables have a span of 2**63 or more, and so an
+    object-dtype index."""
     if draw(st.booleans(), label="object dtype"):
         vocab = draw(st.integers(1, 3), label="vocab")
         least = next(k for k in range(64) if (vocab + 1) ** k >= 2 ** 63)
@@ -487,7 +489,10 @@ def shuffled_tables(draw, min_rows=0):
         keys.update(range(min_rows))
     keys = draw(st.permutations(sorted(keys)), label="row order")
     index = np.array(keys, dtype=np.int64 if span < 2 ** 63 else object)
-    return vocab, order, index, np.full((len(keys), vocab), 1.0 / vocab), default
+    weights = np.array([[key * (j + 3) % 5 + 1.0 for j in range(vocab)]
+                        for key in keys]).reshape(len(keys), vocab)
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    return vocab, order, index, probs, default
 
 
 class TestRowCache:
@@ -500,7 +505,7 @@ class TestRowCache:
         assert target.rows.cdfs is None and draft.rows.cdfs is None
         assert len(target.index) == len(target.probs) == 3280
         assert draft.index is target.index
-        assert draft.rows.sorted_index is target.rows.sorted_index
+        assert draft.rows.index is target.rows.index
         assert not target.probs.flags.writeable and not draft.probs.flags.writeable
         for model in (random_tabular(3, 2, make_rng(1)),
                       train_ngram([0, 1, 2, 0, 2, 1], 3, 0.5, 3)):
@@ -550,9 +555,9 @@ class TestRowCache:
         and some past it, resolves to the row that a dict of the table's
         contexts names; a span of 2**63 or more reads sampled indices."""
         vocab, order, index, probs, default = table
+        given_sorted = bool((index[1:] > index[:-1]).all())
         model = TabularModel(vocab, order, index, probs, default)
-        assert model.index is index
-        assert (model.rows.rank is None) == (model.rows.sorted_index is index)
+        assert (model.index is index) == given_sorted
         radix, span = vocab + 1, (vocab + 1) ** order
         named = dict(zip(index.tolist(), range(len(index))))
         if span < 2 ** 63:
@@ -568,7 +573,9 @@ class TestRowCache:
         for i in reads:
             context = i % span
             if context in named:
-                assert np.shares_memory(model.row(i).probs, probs[named[context]])
+                row = model.row(i)
+                assert np.shares_memory(row.probs, model.probs)
+                assert row.probs.tobytes() == probs[named[context]].tobytes()
             elif default is not None:
                 assert model.row(i) is default
             else:
@@ -576,6 +583,45 @@ class TestRowCache:
                 with pytest.raises(ValueError) as exc:
                     model.row(i)
                 assert str(exc.value) == f"incomplete table: no row for context {tuple(digits)!r}"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shuffled_tables(), st.data())
+    def test_shuffled_build_equals_sorted_build(self, table, data):
+        """A table given in any row order is stored as the build from the
+        same rows in context-index order: the same strictly increasing,
+        read-only index, the same stack bytes, rows of the same bytes (each
+        index read giving one object), the same file document and the same
+        tempered draft. ``test_duplicate_contexts_named_in_table_order``
+        checks that a repeated context is still named in the order given."""
+        vocab, order, index, probs, default = table
+        rank = np.argsort(index, kind="stable")
+        ref = TabularModel(vocab, order, index[rank], probs[rank], default)
+        model = TabularModel(vocab, order, index, probs, default)
+        assert model.index.dtype == ref.index.dtype
+        assert model.index.tolist() == ref.index.tolist()
+        assert (model.index[1:] > model.index[:-1]).all()
+        assert not model.index.flags.writeable and not model.probs.flags.writeable
+        assert model.rows.index is model.index and model.rows.probs is model.probs
+        assert model.probs.tobytes() == ref.probs.tobytes()
+        span = (vocab + 1) ** order
+        reads = index.tolist() + data.draw(st.lists(st.integers(-span, 2 * span), max_size=10),
+                                           label="reads")
+        for i in reads:
+            try:
+                expected = ref.row(i)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    model.row(i)
+                continue
+            row = model.row(i)
+            assert model.row(i) is row
+            assert row.probs.tobytes() == expected.probs.tobytes()
+            assert (row is default) == (expected is default)
+        assert tabular_to_spec(model) == tabular_to_spec(ref)
+        draft, ref_draft = temper(model, 2.0, 0.1), temper(ref, 2.0, 0.1)
+        assert draft.index is model.index
+        assert draft.probs.tobytes() == ref_draft.probs.tobytes()
+        assert tabular_to_spec(draft) == tabular_to_spec(ref_draft)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(shuffled_tables(min_rows=2), st.data())
@@ -1029,7 +1075,7 @@ class TestPinnedOutputs:
 
 
     def test_saved_model_file_digests(self):
-        """``tabular_to_spec`` of tables whose rows are not stored in context
+        """``tabular_to_spec`` of tables whose rows are not given in context
         order: an n-gram model (first-seen order, with a default row) and
         tempered drafts of the ``TestPinnedTemperedRows`` bases."""
         corpus = [int(t) for t in make_rng(23).integers(0, 4, size=300)]
@@ -1067,7 +1113,7 @@ class TestPinnedTemperedRows:
     def test_tempered_row_digests(self):
         got = {}
         for name, base in self._bases().items():
-            indices = base.index.tolist()
+            indices = sorted(base.index.tolist())
             if base.default is not None:
                 assert 0 not in indices  # the all-BOS context has no row
                 indices.append(0)
@@ -1081,5 +1127,5 @@ class TestPinnedTemperedRows:
         assert got == {
             "segmented": "41fb3841b4c4061ce6732c9fede1591e2944f381bfe853ce1e506f044291af2b",
             "zero-mass": "999a26adf5bb6cfdb37b7c811a24223c9ee2225764884340845e2073c08ea512",
-            "ngram": "fdc5cc4325afc54e20f2c8dfe1aa7b638533da5a9b6bcd69139f89d77195a658",
+            "ngram": "9ddceab7810f9615a2d60738843b6650ec2c68d29ff6e2febb12987b25502b29",
         }
