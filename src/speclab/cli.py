@@ -32,6 +32,14 @@ from .policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
                        LengthPolicy, SvipConfig, SvipPolicy)
 
 
+# Size bounds on configs whose cost no other field bounds. An oracle run
+# with a draft that agrees with the target runs to its cap, and its
+# histogram has cap + 1 bins; a bounds-eval pair stack has 2 * count * vocab
+# float cells.
+MAX_ORACLE_CAP = 10_000
+MAX_PAIR_CELLS = 10 ** 7
+
+
 class ValidationError(ValueError):
     """Config problem, reported with the offending field path."""
 
@@ -139,11 +147,13 @@ def _get(cfg: dict, path: str, expect=None, required=True, default=None):
     return node
 
 
-def _get_count(cfg: dict, path: str, **kwargs) -> int:
-    """An integer field that must be at least 1."""
+def _get_count(cfg: dict, path: str, most: int | None = None, **kwargs) -> int:
+    """An integer field that must be at least 1, and at most ``most``."""
     value = _get(cfg, path, expect=int, **kwargs)
     if value < 1:
         raise ValidationError(f"{path}: must be >= 1")
+    if most is not None and value > most:
+        raise ValidationError(f"{path}: must be <= {most}")
     return value
 
 
@@ -317,7 +327,8 @@ def parse_experiment(cfg: dict, args: argparse.Namespace) -> ExperimentConfig:
     horizon = parse_horizon(cfg, prompts)
     default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     cost_model = parse_cost_model(cfg)
-    oracle_cap = _get_count(cfg, "oracle_cap", required=False, default=default["oracle_cap"])
+    oracle_cap = _get_count(cfg, "oracle_cap", MAX_ORACLE_CAP, required=False,
+                            default=default["oracle_cap"])
     kl_window = _get_count(cfg, "kl_window", required=False, default=default["kl_window"])
     if kl_window >= horizon:  # no round rejects that far in: the entries could never fill
         raise ValidationError(f"kl_window: must be < horizon ({horizon})")
@@ -367,6 +378,8 @@ def cmd_bounds_eval(cfg: dict, args: argparse.Namespace) -> int:
     c = float(_get(cfg, "c", expect=(int, float), required=False, default=0.18))
     if vocab < 2:
         raise ValidationError("pairs.vocab: must be >= 2")
+    if 2 * count * vocab > MAX_PAIR_CELLS:
+        raise ValidationError(f"pairs: 2 * count * vocab must be <= {MAX_PAIR_CELLS}")
     if kind not in ("independent", "tempered"):
         raise ValidationError(f"pairs.kind: unknown kind {kind!r}")
     if not 0 < c < math.inf:
@@ -421,7 +434,7 @@ def cmd_oracle_stats(cfg: dict, args: argparse.Namespace) -> int:
     target, draft = parse_models(cfg)
     mode = parse_mode(cfg)
     prompts = parse_prompts(cfg, target.vocab_size)
-    cap = _get_count(cfg, "cap", required=False, default=DEFAULT_CAP)
+    cap = _get_count(cfg, "cap", MAX_ORACLE_CAP, required=False, default=DEFAULT_CAP)
     n_runs = _get_count(cfg, "n_runs", required=False, default=1)
     seed = _get_seed(cfg, "seed", args.seed_override)
 

@@ -6,6 +6,7 @@ All probability arithmetic is 64-bit float, all logarithms natural (nats).
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import nullcontext
 from itertools import chain, repeat
 
 import numpy as np
@@ -40,8 +41,8 @@ class Uniforms:
     ``rewindable``, back over the values fetched but not handed out, so it
     ends exactly where per-call draws would leave it, and a generator shared
     with later callers sees no difference. A closed stream hands out
-    nothing. Nothing the stream holds refers back to it, so dropping the
-    last reference frees it at once.
+    nothing; used as a context manager, it closes on exit. Nothing it holds
+    refers back to it, so dropping the last reference frees it at once.
     """
 
     __slots__ = ("rng", "random", "_draws", "_closed", "__weakref__")
@@ -58,6 +59,12 @@ class Uniforms:
 
         self._draws = chain.from_iterable(map(fetch, repeat(BLOCK)))
         self.random = self._draws.__next__
+
+    def __enter__(self) -> Uniforms:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def close(self) -> None:
         """Rewind ``rng`` over the values fetched but not handed out, and
@@ -83,6 +90,14 @@ def rewindable(rng) -> bool:
     back. Other generators and duck-typed rngs draw per call."""
     return (type(rng) is np.random.Generator
             and type(rng.bit_generator) in _REWINDABLE)
+
+
+def draw_stream(rng) -> Uniforms | nullcontext:
+    """The context a batch draws from ``rng`` in: over a ``rewindable``
+    generator a ``Uniforms`` stream, closed on exit, also when the body
+    raises, so ``rng`` ends where per-call draws leave it; over any other
+    rng, None included, ``rng`` itself. An unused stream rewinds nothing."""
+    return Uniforms(rng) if rewindable(rng) else nullcontext(rng)
 
 
 _REWINDABLE = (np.random.PCG64, np.random.PCG64DXSM)

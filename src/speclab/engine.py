@@ -128,15 +128,16 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     one, which is what a real target model runs: ``target_forward_calls`` is
     the number of rounds.
 
-    The loop carries the ``context_index`` of the output's trailing
-    ``max(context_order)`` tokens and steps it per drafted or emitted token,
-    so the cost of a model call does not grow with the output length.
+    A round holds one ``context_index`` of the trailing ``max(context_order)``
+    tokens, stepped per proposal, then again from the round's start per
+    accepted token, so a model call costs the same at any output length.
 
     Sampling takes one ``rng.random()`` per draft sample, accept test,
     correction and bonus. A sampling decode with at least ``BLOCK`` tokens
     to go over a ``rewindable`` generator draws through a ``Uniforms``
     stream, closed when the decode returns or raises: the draws, and where
-    ``rng`` ends, are those of per-call draws.
+    ``rng`` ends, are those of per-call draws. Unlike ``dist.draw_stream``,
+    a shorter decode draws per call.
     """
     radix, _, span = context_window(target, draft)
     if len(prompt) == 0:
@@ -149,23 +150,22 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
     should_continue, on_round_end = policy.should_continue, policy.on_round_end
 
     out = list(prompt)
+    n_out = len(out)
     rounds: list[RoundRecord] = []
     draft_calls = probe_calls = 0
     stream = None
-    if not greedy and max_len - len(out) >= BLOCK and rewindable(rng):
+    if not greedy and max_len - n_out >= BLOCK and rewindable(rng):
         rng = stream = Uniforms(rng)
     try:
-        while len(out) < max_len:
-            start_len = len(out)
-            room = max_len - start_len - 1  # proposals that can fit before the horizon
+        while n_out < max_len:
+            start = index
+            room = max_len - n_out - 1  # proposals that can fit before the horizon
 
             proposed: list[int] = []
             entropies: list[float] = []
             next_entropy: float | None = None
             q_dists: list[Distribution] = []
-            # Context index of every drafted position plus the one after them.
-            indices = [index]
-
+            n = 0
             if room > 0:
                 q_cur = draft_row(index)
                 h_cur = entropy(q_cur)
@@ -174,43 +174,45 @@ def speculative_decode(target: AutoregressiveModel, draft: AutoregressiveModel,
                     proposed.append(token)
                     entropies.append(h_cur)
                     q_dists.append(q_cur)
-                    index = (index * radix + token + 1) % span
-                    indices.append(index)
-                    if len(proposed) >= room:
-                        break
-                    q_next = draft_row(index)
-                    h_next = entropy(q_next)
-                    if not should_continue(len(proposed), h_next):
-                        next_entropy = h_next
-                        probe_calls += 1
+                    n += 1
+                    if n >= room:
                         break
                     # The probed row is drafted next, with the entropy just read.
-                    q_cur, h_cur = q_next, h_next
-                draft_calls += len(proposed)
+                    index = (index * radix + token + 1) % span
+                    q_cur = draft_row(index)
+                    h_cur = entropy(q_cur)
+                    if not should_continue(n, h_cur):
+                        next_entropy = h_cur
+                        probe_calls += 1
+                        break
+                draft_calls += n
 
-            # Target rows are read as verification reaches them.
-            accepted = len(proposed)
+            # Target rows are read as verification steps the index from the start.
+            index = start
+            accepted = n
             correction: int | None = None
             bonus: int | None = None
             for j, token in enumerate(proposed):
-                p_j = target_row(indices[j])
+                p_j = target_row(index)
                 if not (verify_greedy(p_j, token) if greedy
                         else verify_sampling(p_j, q_dists[j], token, rng)):
                     accepted = j
                     last = correction = (correct_greedy(p_j) if greedy
                                          else correct_sampling(p_j, q_dists[j], rng))
                     break
+                index = (index * radix + token + 1) % span
             else:
                 p_last = target_row(index)
                 last = bonus = argmax(p_last) if greedy else sample(p_last, rng)
             out += proposed[:accepted]
             out.append(last)
-            index = (indices[accepted] * radix + last + 1) % span
+            index = (index * radix + last + 1) % span
 
-            record = RoundRecord(len(rounds), start_len, indices[0], proposed,
-                                 entropies, next_entropy, accepted, correction, bonus)
+            record = RoundRecord(len(rounds), n_out, start, proposed, entropies,
+                                 next_entropy, accepted, correction, bonus)
             rounds.append(record)
-            if proposed:
+            n_out += accepted + 1
+            if n:
                 on_round_end(record)
     finally:
         if stream is not None:

@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dist import (Distribution, KeyedStreams, Rng, Uniforms, argmax,
-                   kl_divergence, make_rng, rewindable, sample, sample_rows)
+from .dist import (Distribution, KeyedStreams, Rng, argmax, draw_stream,
+                   kl_divergence, make_rng, sample, sample_rows)
 from .engine import (DecodeMode, DecodeResult, RoundRecord, autoregressive_decode,
                      speculative_decode, verify_greedy, verify_sampling)
 from .models import AutoregressiveModel, context_index, context_window, prompt_index
@@ -88,34 +87,17 @@ def oracle_draft_length(target: AutoregressiveModel, draft: AutoregressiveModel,
     return n
 
 
-@contextmanager
-def _draw_stream(rng: Rng) -> Iterator[Rng]:
-    """``rng``, or over a ``rewindable`` generator one ``Uniforms`` stream
-    over it, closed on exit, also when the body raises: ``rng`` ends where
-    per-call draws leave it. A stream that nothing draws from, as under
-    greedy, fetches nothing and so rewinds nothing."""
-    if not rewindable(rng):
-        yield rng
-        return
-    stream = Uniforms(rng)
-    try:
-        yield stream
-    finally:
-        stream.close()
-
-
 def oracle_length_stats(target: AutoregressiveModel, draft: AutoregressiveModel,
                         prompts: Sequence[Sequence[int]], mode: DecodeMode,
                         rng: Rng, cap: int, n_runs: int):
     """Mean, variance, and histogram of oracle lengths over prompts x runs.
 
-    Over a ``rewindable`` generator the runs draw through one ``Uniforms``
-    stream, closed when the runs end or raise: ``rng`` ends where per-call
-    draws leave it.
+    The runs draw through one ``dist.draw_stream(rng)``: ``rng`` ends where
+    per-call draws leave it, also when a run raises.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    with _draw_stream(rng) as draws:
+    with draw_stream(rng) as draws:
         lengths = [oracle_draft_length(target, draft, prompt, mode, draws, cap)
                    for prompt in prompts for _ in range(n_runs)]
     arr = np.asarray(lengths)
@@ -248,9 +230,8 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     ``threshold``. Sampled continuations outside the exact support count in
     full.
 
-    Over a ``rewindable`` generator the decodes draw through one
-    ``Uniforms`` stream, closed when they end or raise: ``rng`` ends where
-    per-call draws leave it.
+    The decodes draw through one ``dist.draw_stream(rng)``: ``rng`` ends
+    where per-call draws leave it, also when a decode raises.
     """
     check_equivalence_size(target.vocab_size, horizon, n_samples)
     max_len = len(prompt) + horizon
@@ -260,7 +241,7 @@ def equivalence_test(target: AutoregressiveModel, draft: AutoregressiveModel,
     else:
         exact = exact_sequence_probs(target, prompt, horizon)
     counts: Counter[tuple[int, ...]] = Counter()
-    with _draw_stream(rng) as draws:
+    with draw_stream(rng) as draws:
         for _ in range(n_samples):
             result = speculative_decode(target, draft, prompt, max_len,
                                         policy_factory(), mode, draws)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: determinism, validation, exit codes, file formats."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclab.cli import fmt9, main, write_csv
+import speclab.cli
+from speclab.cli import MAX_ORACLE_CAP, MAX_PAIR_CELLS, fmt9, main, write_csv
 from speclab.engine import DecodeResult, RoundRecord
 from speclab.harness import ROUND_CSV_FIELDS, round_csv_columns
 
@@ -56,6 +58,20 @@ def decode_config(tmp_path, target_spec, **overrides):
     }
     doc.update(overrides)
     return write_config(tmp_path, "decode.json", doc)
+
+
+def oracle_config(tmp_path, target_spec, **overrides):
+    doc = {
+        "target_spec": target_spec,
+        "draft_spec": {"temper": {"tau": 2.0, "eps": 0.1}},
+        "mode": "sampling",
+        "prompts": [[0], [1]],
+        "cap": 10,
+        "n_runs": 20,
+        "seed": 21,
+    }
+    doc.update(overrides)
+    return write_config(tmp_path, "oracle.json", doc)
 
 
 def read_tree(out_dir):
@@ -183,6 +199,22 @@ class TestMalformedConfig:
             assert capsys.readouterr().err == "config error: kl_window: must be < horizon (12)\n"
         cfg = decode_config(tmp_path, target_spec, kl_window=11)
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command, field", [("experiment", "oracle_cap"),
+                                                ("oracle-stats", "cap")])
+    @pytest.mark.parametrize("cap", [MAX_ORACLE_CAP + 1, 10 ** 9])
+    def test_oracle_cap_bounded(self, tmp_path, target_spec, capsys, command,
+                                field, cap):
+        """With the target as its own draft every oracle run is accepted up
+        to its cap, and the histogram has cap + 1 bins: a cap past the
+        bound is an error, not a hang or a failed allocation."""
+        make = decode_config if command == "experiment" else oracle_config
+        cfg = make(tmp_path, target_spec, draft_spec=target_spec, **{field: cap})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {field}: must be <= {MAX_ORACLE_CAP}\n")
+        cfg = make(tmp_path, target_spec, **{field: MAX_ORACLE_CAP})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("overrides, path", [
         ({"oracle_cap": 0}, "oracle_cap"),
@@ -461,6 +493,23 @@ class TestBoundsEval:
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    @pytest.mark.parametrize("count, vocab", [(10 ** 9, 16), (10, 10 ** 9)],
+                             ids=["count", "vocab"])
+    def test_oversized_pair_stack_rejected(self, tmp_path, capsys, count, vocab):
+        cfg = self.bounds_config(tmp_path, pairs={"count": count, "vocab": vocab,
+                                                  "seed": 1})
+        assert main(["bounds-eval", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: pairs: 2 * count * vocab must be <= {MAX_PAIR_CELLS}\n")
+
+    def test_pair_stack_at_the_bound_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(speclab.cli, "MAX_PAIR_CELLS", 2 * 60 * 8)
+        cfg = self.bounds_config(tmp_path)  # 60 pairs over vocab 8
+        assert main(["bounds-eval", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        cfg = self.bounds_config(tmp_path, pairs={"count": 61, "vocab": 8, "seed": 11})
+        assert main(["bounds-eval", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+
     def test_json_format(self, tmp_path):
         cfg = self.bounds_config(tmp_path)
         out = tmp_path / "bj"
@@ -569,21 +618,8 @@ class TestEquivalenceCommand:
 
 
 class TestOracleStats:
-    def oracle_config(self, tmp_path, target_spec, **overrides):
-        doc = {
-            "target_spec": target_spec,
-            "draft_spec": {"temper": {"tau": 2.0, "eps": 0.1}},
-            "mode": "sampling",
-            "prompts": [[0], [1]],
-            "cap": 10,
-            "n_runs": 20,
-            "seed": 21,
-        }
-        doc.update(overrides)
-        return write_config(tmp_path, "oracle.json", doc)
-
     def test_histogram_accounts_for_all_runs(self, tmp_path, target_spec):
-        cfg = self.oracle_config(tmp_path, target_spec)
+        cfg = oracle_config(tmp_path, target_spec)
         out = tmp_path / "os"
         assert main(["oracle-stats", "--config", cfg, "--out", str(out),
                      "--format", "json"]) == 0
@@ -592,13 +628,13 @@ class TestOracleStats:
         assert len(doc["histogram"]) == 11
 
     def test_negative_seed_rejected(self, tmp_path, target_spec, capsys):
-        cfg = self.oracle_config(tmp_path, target_spec, seed=-1)
+        cfg = oracle_config(tmp_path, target_spec, seed=-1)
         assert main(["oracle-stats", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("config error: seed:")
 
     def test_csv_histogram(self, tmp_path, target_spec):
-        cfg = self.oracle_config(tmp_path, target_spec)
+        cfg = oracle_config(tmp_path, target_spec)
         out = tmp_path / "osc"
         assert main(["oracle-stats", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "oracle_histogram.csv").read_text().splitlines()
@@ -608,8 +644,13 @@ class TestOracleStats:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run([sys.executable, "-m", "speclab.cli",
-                               "--version"], capture_output=True, text=True)
+        # The subprocess does not see pytest's ``pythonpath``, so it gets
+        # the repo's ``src`` on its own.
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "speclab.cli", "--version"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip()
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import speclab.dist as dist_module
 from speclab.dist import (BLOCK, Distribution, KeyedStreams, Uniforms, argmax,
                           checked_rows, cross_entropy, distribution_rows,
-                          entropy, kl_divergence, make_rng, normalize,
+                          draw_stream, entropy, kl_divergence, make_rng, normalize,
                           normalize_rows, residual, rewindable, row_entropies,
                           sample, sample_rows, tvd, unchecked_distribution)
 
@@ -521,6 +521,52 @@ class TestUniforms:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestDrawStreamOpener:
+    """``draw_stream`` opens a ``Uniforms`` stream over a ``rewindable``
+    generator, closed on exit, and hands any other rng back as it is."""
+
+    state = staticmethod(TestUniforms.state)
+
+    @pytest.mark.parametrize("kind", ["pcg64", "pcg64dxsm", "pcg64-half"])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1])
+    def test_closed_on_exit_where_per_call_draws_end(self, kind, n):
+        rng, ref = generator(kind, 5), generator(kind, 5)
+        with draw_stream(rng) as draws:
+            assert type(draws) is Uniforms and draws.rng is rng
+            assert [draws.random() for _ in range(n)] == [ref.random() for _ in range(n)]
+        assert self.state(rng) == self.state(ref)
+        with pytest.raises(StopIteration):  # closed
+            draws.random()
+        # The kept half-word is the next 32-bit draw's.
+        assert (rng.integers(0, 5, size=9, dtype=np.int32).tolist()
+                == ref.integers(0, 5, size=9, dtype=np.int32).tolist())
+
+    @pytest.mark.parametrize("kind", ["pcg64", "pcg64dxsm", "pcg64-half"])
+    @pytest.mark.parametrize("n", [0, 3, BLOCK + 1])
+    def test_closed_when_the_body_raises(self, kind, n):
+        rng, ref = generator(kind, 6), generator(kind, 6)
+        with pytest.raises(LookupError):
+            with draw_stream(rng) as draws:
+                for _ in range(n):
+                    draws.random()
+                raise LookupError
+        for _ in range(n):
+            ref.random()
+        assert self.state(rng) == self.state(ref)
+        with pytest.raises(StopIteration):
+            draws.random()
+
+    @pytest.mark.parametrize("rng", [
+        generator("mt19937", 1),
+        np.random.Generator(np.random.Philox(1)),
+        FixedDraws([0.5]),
+        None,
+    ], ids=["mt19937", "philox", "duck-typed", "none"])
+    def test_other_rngs_yield_themselves(self, rng):
+        with draw_stream(rng) as draws:
+            assert draws is rng
 
 
 def lane_draws(streams, n):

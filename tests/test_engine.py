@@ -23,7 +23,7 @@ from speclab.models import (AutoregressiveModel, TabularModel, context_index,
                             prompt_index, random_tabular, tabular_from_spec,
                             temper)
 from speclab.policies import (DEFAULT_CAP, ConstantPolicy, HeuristicPolicy,
-                              SvipConfig, SvipPolicy)
+                              LengthPolicy, SvipConfig, SvipPolicy)
 from test_dist import generator
 
 SAMPLING = DecodeMode.SAMPLING
@@ -559,6 +559,116 @@ class TestHookContract:
                         if mode is GREEDY else
                         {"sample", "entropy", "verify_sampling", "correct_sampling",
                          "residual"})
+
+
+class CallLog:
+    """One log, in call order, of the row reads of both models, every hook
+    call on ``speclab.engine`` and the policy's calls, each entry a
+    ``(side, name, row index or None)``. Entropy, ``should_continue`` and a
+    hook whose first argument is a draft row are draft-side; every other
+    hook call is target-side. ``on_round_end`` has no side and closes a
+    round."""
+
+    def __init__(self, monkeypatch):
+        self.entries = []
+        self.draft_rows = set()  # ids of the draft rows handed out
+        for name in HOOKS:
+            monkeypatch.setattr(speclab.engine, name,
+                                self.hook(name, getattr(speclab.engine, name)))
+
+    def hook(self, name, fn):
+        def logged(*args):
+            draft_side = name == "entropy" or id(args[0]) in self.draft_rows
+            self.entries.append(("draft" if draft_side else "target", name, None))
+            return fn(*args)
+        return logged
+
+    def model(self, base, side):
+        log = self
+
+        class Logged(AutoregressiveModel):
+            vocab_size, context_order = base.vocab_size, base.context_order
+
+            def row(self, index):
+                d = base.row(index)
+                log.entries.append((side, "row", index))
+                if side == "draft":
+                    log.draft_rows.add(id(d))
+                return d
+
+        return Logged()
+
+    def policy(self, base):
+        entries = self.entries
+
+        class Logged(LengthPolicy):
+            def should_continue(self, n, h):
+                entries.append(("draft", "should_continue", None))
+                return base.should_continue(n, h)
+
+            def on_round_end(self, record):
+                entries.append((None, "on_round_end", None))
+                base.on_round_end(record)
+
+        return Logged()
+
+    def rounds(self):
+        """The entries split into rounds: at each ``on_round_end``, and a
+        final bonus-only round after the last."""
+        rounds, current = [], []
+        for entry in self.entries:
+            if entry[1] == "on_round_end":
+                rounds.append(current)
+                current = []
+            else:
+                current.append(entry)
+        return rounds + [current] if current else rounds
+
+
+class TestRoundCallOrder:
+    """In every round all draft-side calls come before the first target row
+    read, the draft rows are read at the round's drafted positions and the
+    target rows in position order, accepted positions plus one."""
+
+    @pytest.mark.parametrize("mode", [SAMPLING, GREEDY])
+    @pytest.mark.parametrize("horizon", [3, 200])
+    @pytest.mark.parametrize("policy_factory", [
+        lambda: ConstantPolicy(3),
+        lambda: HeuristicPolicy(2),
+        lambda: SvipPolicy(SvipConfig(h=0.6)),
+    ], ids=["constant", "heuristic", "svip"])
+    def test_draft_calls_then_target_rows_in_order(self, monkeypatch, mode,
+                                                    horizon, policy_factory):
+        target = random_tabular(4, 2, make_rng(81), spiky_fraction=0.3)
+        draft = random_tabular(4, 1, make_rng(82))  # rejects under greedy too
+        log = CallLog(monkeypatch)
+        logged_target, logged_draft = log.model(target, "target"), log.model(draft, "draft")
+        seen = set()
+        for k in range(10 if horizon == 3 else 3):
+            ref = reference_decode(target, draft, [0, 1], 2 + horizon,
+                                   policy_factory(), mode, make_rng((84, k)))
+            log.entries.clear()
+            res = speculative_decode(logged_target, logged_draft, [0, 1], 2 + horizon,
+                                     log.policy(policy_factory()), mode, make_rng((84, k)))
+            assert res == ref
+            rounds = log.rounds()
+            assert len(rounds) == len(res.rounds)
+            out = res.output_tokens
+            for rec, calls in zip(res.rounds, rounds):
+                sides = [side for side, _, _ in calls]
+                first = sides.index("target")
+                assert set(sides[first:]) == {"target"}
+                drafted = out[:rec.start_len] + rec.proposed_tokens
+                draft_reads = [i for side, name, i in calls if (side, name) == ("draft", "row")]
+                assert len(draft_reads) == (len(rec.proposed_tokens)
+                                            + (rec.next_entropy is not None))
+                assert draft_reads == [context_index(drafted, rec.start_len + j, 4, 2)
+                                       for j in range(len(draft_reads))]
+                target_reads = [i for side, name, i in calls if (side, name) == ("target", "row")]
+                assert target_reads == [context_index(out, rec.start_len + j, 4, 2)
+                                        for j in range(rec.accepted_count + 1)]
+                seen.add("bonus" if rec.bonus is not None else "correction")
+        assert seen == {"bonus", "correction"}
 
 
 class TestExpectedRoundLength:
